@@ -910,8 +910,8 @@ runObsOverhead(const Options &opt)
  * apply2q sweeps the micro family uses, recording per-backend ns/op and
  * speedup_vs_scalar. The closing scenario pins the cost of runtime
  * dispatch itself: an apply2q sweep through the public wrapper (one
- * activeKernels() fetch + indirect call per sweep) vs. the same sweep
- * through a hoisted table pointer. dispatch_overhead_pct is the
+ * activeKernels() fetch + indirect call per sweep) vs. the same
+ * apply2qRange sweep over all quads through a hoisted table pointer. dispatch_overhead_pct is the
  * contract consumers track — < 1%, like the obs family's
  * zero-cost-when-off bound (the fetch amortizes over 2^n amplitudes).
  */
@@ -992,10 +992,14 @@ runDispatch(const Options &opt)
         const std::size_t q1 = (2 * n) / 3;
         const Matrix u = linalg::haarUnitary(rng, 4);
 
+        // The wrapper is the range kernel over every quad, so the
+        // hoisted baseline calls that same table entry directly.
         const sim::KernelTable &table = sim::activeKernels();
+        const std::size_t quads = amps.size() >> 2;
         const double tHoisted = bestSeconds(rounds, [&] {
             for (int s = 0; s < sweepsPerRound; ++s)
-                table.apply2q(amps.data(), n, q0, q1, u.data());
+                table.apply2qRange(amps.data(), n, q0, q1, u.data(), 0,
+                                   quads);
         });
         const double tDispatched = bestSeconds(rounds, [&] {
             for (int s = 0; s < sweepsPerRound; ++s)

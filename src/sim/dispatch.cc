@@ -226,7 +226,8 @@ setDispatchOverride(const std::string &value)
 void
 recordDispatchGauges()
 {
-    const KernelTable &t = activeKernels();
+    // Read only by the gauges, which -DCRISC_OBS=OFF compiles out.
+    [[maybe_unused]] const KernelTable &t = activeKernels();
     OBS_GAUGE("sim.dispatch.backend",
               static_cast<std::int64_t>(t.backend));
     OBS_GAUGE("sim.dispatch.lanes", static_cast<std::int64_t>(t.lanes));
@@ -234,9 +235,27 @@ recordDispatchGauges()
 
 // ---------------------------------------------------------------------
 // Public kernel wrappers: the stable sim:: API from kernels.hh, routed
-// through the resolved table. Full-sweep batched forms span the table's
-// range kernels over the whole group space.
+// through the resolved table. Every full-sweep form except applyPauli
+// is its range kernel over the whole group space [0, groups).
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** Amplitude pairs (1q groups) of an n-qubit register. */
+std::size_t
+pairCount(std::size_t n_qubits)
+{
+    return (std::size_t{1} << n_qubits) >> 1;
+}
+
+/** Amplitude quads (2q groups) of an n-qubit register. */
+std::size_t
+quadCount(std::size_t n_qubits)
+{
+    return (std::size_t{1} << n_qubits) >> 2;
+}
+
+} // namespace
 
 const char *
 simdBackendName()
@@ -254,14 +273,16 @@ void
 apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
         const Complex m[4])
 {
-    activeKernels().apply1q(amps, n_qubits, qubit, m);
+    activeKernels().apply1qRange(amps, n_qubits, qubit, m, 0,
+                                 pairCount(n_qubits));
 }
 
 void
 apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
             Complex d0, Complex d1)
 {
-    activeKernels().apply1qDiag(amps, n_qubits, qubit, d0, d1);
+    activeKernels().apply1qDiagRange(amps, n_qubits, qubit, d0, d1, 0,
+                                     pairCount(n_qubits));
 }
 
 void
@@ -275,21 +296,25 @@ void
 apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
         std::size_t q_lo, const Complex m[16])
 {
-    activeKernels().apply2q(amps, n_qubits, q_hi, q_lo, m);
+    activeKernels().apply2qRange(amps, n_qubits, q_hi, q_lo, m, 0,
+                                 quadCount(n_qubits));
 }
 
 void
 apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
             std::size_t q_lo, const Complex d[4])
 {
-    activeKernels().apply2qDiag(amps, n_qubits, q_hi, q_lo, d);
+    activeKernels().apply2qDiagRange(amps, n_qubits, q_hi, q_lo, d, 0,
+                                     quadCount(n_qubits));
 }
 
 void
 applyDense(Complex *amps, std::size_t n_qubits, const Matrix &op,
            const std::vector<std::size_t> &qubits)
 {
-    detail::applyDenseShared(amps, n_qubits, op, qubits);
+    detail::applyDenseRangeShared(amps, n_qubits, op, qubits, 0,
+                                  (std::size_t{1} << n_qubits) >>
+                                      qubits.size());
 }
 
 void
@@ -305,26 +330,25 @@ void
 applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
           const std::vector<std::size_t> &qubits)
 {
-    const KernelTable &k = activeKernels();
     switch (qubits.size()) {
       case 1:
         if (op(0, 1) == Complex{0.0, 0.0} && op(1, 0) == Complex{0.0, 0.0}) {
-            k.apply1qDiag(amps, n_qubits, qubits[0], op(0, 0), op(1, 1));
+            apply1qDiag(amps, n_qubits, qubits[0], op(0, 0), op(1, 1));
         } else {
             const Complex m[4] = {op(0, 0), op(0, 1), op(1, 0), op(1, 1)};
-            k.apply1q(amps, n_qubits, qubits[0], m);
+            apply1q(amps, n_qubits, qubits[0], m);
         }
         return;
       case 2:
         if (exactlyDiagonal(op)) {
             const Complex d[4] = {op(0, 0), op(1, 1), op(2, 2), op(3, 3)};
-            k.apply2qDiag(amps, n_qubits, qubits[0], qubits[1], d);
+            apply2qDiag(amps, n_qubits, qubits[0], qubits[1], d);
         } else {
-            k.apply2q(amps, n_qubits, qubits[0], qubits[1], op.data());
+            apply2q(amps, n_qubits, qubits[0], qubits[1], op.data());
         }
         return;
       default:
-        k.applyDense(amps, n_qubits, op, qubits);
+        applyDense(amps, n_qubits, op, qubits);
         return;
     }
 }
@@ -378,8 +402,8 @@ void
 apply1qBatch(double *re, double *im, std::size_t n_qubits,
              std::size_t batch, std::size_t qubit, const Complex m[4])
 {
-    activeKernels().apply1qBatchRange(re, im, n_qubits, batch, qubit, m, 0,
-                                      (std::size_t{1} << n_qubits) >> 1);
+    apply1qBatchRange(re, im, n_qubits, batch, qubit, m, 0,
+                      pairCount(n_qubits));
 }
 
 void
@@ -397,9 +421,8 @@ apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
                  std::size_t batch, std::size_t qubit, Complex d0,
                  Complex d1)
 {
-    activeKernels().apply1qDiagBatchRange(
-        re, im, n_qubits, batch, qubit, d0, d1, 0,
-        (std::size_t{1} << n_qubits) >> 1);
+    apply1qDiagBatchRange(re, im, n_qubits, batch, qubit, d0, d1, 0,
+                          pairCount(n_qubits));
 }
 
 void
@@ -417,9 +440,8 @@ applyPauliBatch(double *re, double *im, std::size_t n_qubits,
                 std::size_t batch, std::size_t qubit,
                 std::size_t pauli_index)
 {
-    activeKernels().applyPauliBatchRange(
-        re, im, n_qubits, batch, qubit, pauli_index, 0,
-        (std::size_t{1} << n_qubits) >> 1);
+    applyPauliBatchRange(re, im, n_qubits, batch, qubit, pauli_index, 0,
+                         pairCount(n_qubits));
 }
 
 void
@@ -446,9 +468,8 @@ apply2qBatch(double *re, double *im, std::size_t n_qubits,
              std::size_t batch, std::size_t q_hi, std::size_t q_lo,
              const Complex m[16])
 {
-    activeKernels().apply2qBatchRange(re, im, n_qubits, batch, q_hi, q_lo,
-                                      m, 0,
-                                      (std::size_t{1} << n_qubits) >> 2);
+    apply2qBatchRange(re, im, n_qubits, batch, q_hi, q_lo, m, 0,
+                      quadCount(n_qubits));
 }
 
 void
@@ -466,9 +487,8 @@ apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
                  std::size_t batch, std::size_t q_hi, std::size_t q_lo,
                  const Complex d[4])
 {
-    activeKernels().apply2qDiagBatchRange(
-        re, im, n_qubits, batch, q_hi, q_lo, d, 0,
-        (std::size_t{1} << n_qubits) >> 2);
+    apply2qDiagBatchRange(re, im, n_qubits, batch, q_hi, q_lo, d, 0,
+                          quadCount(n_qubits));
 }
 
 void
@@ -486,9 +506,8 @@ applyDenseBatch(double *re, double *im, std::size_t n_qubits,
                 std::size_t batch, const Matrix &op,
                 const std::vector<std::size_t> &qubits)
 {
-    activeKernels().applyDenseBatchRange(
-        re, im, n_qubits, batch, op, qubits, 0,
-        (std::size_t{1} << n_qubits) >> qubits.size());
+    applyDenseBatchRange(re, im, n_qubits, batch, op, qubits, 0,
+                         (std::size_t{1} << n_qubits) >> qubits.size());
 }
 
 } // namespace sim

@@ -13,9 +13,9 @@
  *     (probe order avx512 > avx2 > neon > scalar, first backend that is
  *     both compiled in and supported by the host).
  *   - activeKernels(): the resolved KernelTable. The public sim::apply*
- *     wrappers in kernels.hh and the engine's executeOp* sweep drivers
- *     fetch this once per sweep — one atomic load plus one indirect
- *     call per kernel sweep, never per amplitude.
+ *     wrappers in kernels.hh and the engine's sweep drivers fetch this
+ *     once per sweep — one atomic load plus one indirect call per
+ *     kernel sweep or chunk, never per amplitude.
  *   - setDispatchOverride(): in-process re-resolution with the same
  *     semantics as the environment variable, used by tests and the
  *     bench_runner `dispatch` family to force each backend on one
@@ -59,14 +59,17 @@ enum class Backend
 };
 
 /**
- * One backend's full kernel surface as function pointers: the serial
- * (full-sweep) kernels, the group-range forms that state-parallel and
- * cache-blocked execution partition, and the batched SoA forms
- * (including the per-lane Pauli divergence point). applyDense and
- * applyDenseRange carry no SIMD (gather/scatter dominated) and point at
- * one shared implementation in every table; they are present so that a
- * table covers every KernelKind. All entries of every registered table
- * are non-null — tests pin this.
+ * One backend's full kernel surface as function pointers. Every gate
+ * kernel has one form, the group range: a full sweep is the range
+ * [0, groups), and state-parallel and cache-blocked execution
+ * partition the same entries. The interleaved (single statevector)
+ * and batched SoA layouts each get one entry per KernelKind, plus the
+ * full-sweep Pauli (noise only; nothing partitions it) and the
+ * per-lane Pauli divergence point. applyDenseRange carries no SIMD
+ * (gather/scatter dominated) and points at one shared implementation
+ * in every table; it is present so that a table covers every
+ * KernelKind. All entries of every registered table are non-null —
+ * tests pin this.
  */
 struct KernelTable
 {
@@ -74,21 +77,11 @@ struct KernelTable
     const char *name = "scalar";
     std::size_t lanes = 1;
 
-    // Serial full-sweep kernels (interleaved statevector).
-    void (*apply1q)(Complex *, std::size_t, std::size_t,
-                    const Complex *) = nullptr;
-    void (*apply1qDiag)(Complex *, std::size_t, std::size_t, Complex,
-                        Complex) = nullptr;
+    // Full-sweep Pauli (interleaved statevector).
     void (*applyPauli)(Complex *, std::size_t, std::size_t,
                        std::size_t) = nullptr;
-    void (*apply2q)(Complex *, std::size_t, std::size_t, std::size_t,
-                    const Complex *) = nullptr;
-    void (*apply2qDiag)(Complex *, std::size_t, std::size_t, std::size_t,
-                        const Complex *) = nullptr;
-    void (*applyDense)(Complex *, std::size_t, const Matrix &,
-                       const std::vector<std::size_t> &) = nullptr;
 
-    // Group-range forms (state-parallel / cache-blocked substrate).
+    // Group-range kernels (interleaved statevector).
     void (*apply1qRange)(Complex *, std::size_t, std::size_t,
                          const Complex *, std::size_t,
                          std::size_t) = nullptr;
@@ -104,8 +97,8 @@ struct KernelTable
                             const std::vector<std::size_t> &, std::size_t,
                             std::size_t) = nullptr;
 
-    // Batched SoA range forms (SIMD lanes across trajectories); the
-    // full-sweep sim::*Batch wrappers call these over [0, groups).
+    // Batched SoA group-range kernels (SIMD lanes across
+    // trajectories).
     void (*apply1qBatchRange)(double *, double *, std::size_t, std::size_t,
                               std::size_t, const Complex *, std::size_t,
                               std::size_t) = nullptr;
@@ -210,11 +203,8 @@ const KernelTable &avx2KernelTable();
 const KernelTable &avx512KernelTable();
 const KernelTable &neonKernelTable();
 
-// Shared backend-independent dense implementations (kernels.cc); every
-// table's applyDense / applyDenseRange entries point here.
-void applyDenseShared(Complex *amps, std::size_t n_qubits,
-                      const Matrix &op,
-                      const std::vector<std::size_t> &qubits);
+// Shared backend-independent dense implementation (kernels.cc); every
+// table's applyDenseRange entry points here.
 void applyDenseRangeShared(Complex *amps, std::size_t n_qubits,
                            const Matrix &op,
                            const std::vector<std::size_t> &qubits,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hh"
 #include "sim/cache.hh"
@@ -304,79 +305,102 @@ compile(const circuit::Circuit &c, const CompileOptions &opts)
     return plan;
 }
 
-void
-executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits)
-{
-    // One dispatch-table fetch per sweep, never per amplitude.
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1q(amps, n_qubits, op.q0, op.m.data());
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiag(amps, n_qubits, op.q0, op.m[0], op.m[1]);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2q(amps, n_qubits, op.q0, op.q1, op.m.data());
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiag(amps, n_qubits, op.q0, op.q1, op.m.data());
-        return;
-      case KernelKind::Dense:
-        k.applyDense(amps, n_qubits, op.dense, op.qubits);
-        return;
-    }
-    throw std::logic_error("executeOp: unknown kernel kind");
-}
-
 std::size_t
 opGroupCount(const KernelOp &op, std::size_t n_qubits)
 {
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    switch (op.kind) {
-      case KernelKind::OneQ:
-      case KernelKind::OneQDiag:
-        return dim >> 1;
-      case KernelKind::TwoQ:
-      case KernelKind::TwoQDiag:
-        return dim >> 2;
-      case KernelKind::Dense:
-        return dim >> op.qubits.size();
-    }
-    throw std::logic_error("opGroupCount: unknown kernel kind");
-}
-
-void
-executeOpRange(const KernelOp &op, Complex *amps, std::size_t n_qubits,
-               std::size_t group_begin, std::size_t group_end)
-{
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1qRange(amps, n_qubits, op.q0, op.m.data(), group_begin,
-                       group_end);
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiagRange(amps, n_qubits, op.q0, op.m[0], op.m[1],
-                           group_begin, group_end);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2qRange(amps, n_qubits, op.q0, op.q1, op.m.data(),
-                       group_begin, group_end);
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiagRange(amps, n_qubits, op.q0, op.q1, op.m.data(),
-                           group_begin, group_end);
-        return;
-      case KernelKind::Dense:
-        k.applyDenseRange(amps, n_qubits, op.dense, op.qubits, group_begin,
-                          group_end);
-        return;
-    }
-    throw std::logic_error("executeOpRange: unknown kernel kind");
+    return (std::size_t{1} << n_qubits) >> opGroupBits(op);
 }
 
 namespace {
+
+// ---------------------------------------------------------------------
+// State layouts. Every driver below is written once over a layout
+// adapter: Interleaved (one Complex statevector) or Soa (a BatchState,
+// lanes across trajectories). An adapter names its obs spans, reports
+// its width and lane count, and runs groups [g0, g1) of one op through
+// the matching range kernels of a KernelTable — everything else
+// (chunking, blocking, the plan loop) is layout-independent.
+// ---------------------------------------------------------------------
+
+struct Interleaved
+{
+    static constexpr const char *kSweepSpan = "sim.sweep";
+    static constexpr const char *kPlanSpan = "sim.plan";
+
+    Complex *amps;
+    std::size_t nQubits;
+
+    std::size_t numQubits() const { return nQubits; }
+    std::size_t lanes() const { return 1; }
+
+    void sweepRange(const KernelTable &k, const KernelOp &op,
+                    std::size_t g0, std::size_t g1) const
+    {
+        switch (op.kind) {
+          case KernelKind::OneQ:
+            k.apply1qRange(amps, nQubits, op.q0, op.m.data(), g0, g1);
+            return;
+          case KernelKind::OneQDiag:
+            k.apply1qDiagRange(amps, nQubits, op.q0, op.m[0], op.m[1], g0,
+                               g1);
+            return;
+          case KernelKind::TwoQ:
+            k.apply2qRange(amps, nQubits, op.q0, op.q1, op.m.data(), g0,
+                           g1);
+            return;
+          case KernelKind::TwoQDiag:
+            k.apply2qDiagRange(amps, nQubits, op.q0, op.q1, op.m.data(),
+                               g0, g1);
+            return;
+          case KernelKind::Dense:
+            k.applyDenseRange(amps, nQubits, op.dense, op.qubits, g0, g1);
+            return;
+        }
+        throw std::logic_error("sweepRange: unknown kernel kind");
+    }
+};
+
+struct Soa
+{
+    static constexpr const char *kSweepSpan = "sim.sweep_batched";
+    static constexpr const char *kPlanSpan = "sim.plan_batched";
+
+    BatchState &batch;
+
+    std::size_t numQubits() const { return batch.numQubits(); }
+    std::size_t lanes() const { return batch.batch(); }
+
+    void sweepRange(const KernelTable &k, const KernelOp &op,
+                    std::size_t g0, std::size_t g1) const
+    {
+        double *re = batch.re();
+        double *im = batch.im();
+        const std::size_t n = batch.numQubits();
+        const std::size_t b = batch.batch();
+        switch (op.kind) {
+          case KernelKind::OneQ:
+            k.apply1qBatchRange(re, im, n, b, op.q0, op.m.data(), g0, g1);
+            return;
+          case KernelKind::OneQDiag:
+            k.apply1qDiagBatchRange(re, im, n, b, op.q0, op.m[0], op.m[1],
+                                    g0, g1);
+            return;
+          case KernelKind::TwoQ:
+            k.apply2qBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(), g0,
+                                g1);
+            return;
+          case KernelKind::TwoQDiag:
+            k.apply2qDiagBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(),
+                                    g0, g1);
+            return;
+          case KernelKind::Dense:
+            k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits, g0,
+                                   g1);
+            return;
+        }
+        throw std::logic_error("sweepRange: unknown kernel kind");
+    }
+};
 
 /**
  * Chunk-boundary granule, in groups. 64 groups keep every chunk
@@ -406,18 +430,43 @@ chunkFor(std::size_t groups, std::size_t workers, std::size_t requested)
     return (chunk + kChunkGranule - 1) / kChunkGranule * kChunkGranule;
 }
 
-} // namespace
-
-void
-executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
-          const ExecOptions &opts)
+/** The serial cutoff in groups: each group carries lanes() lanes of
+ *  work, so the cutoff scales down with the lane count (but never
+ *  below one granule). */
+template <class State>
+std::size_t
+minParallelGroups(const State &s)
 {
-    OBS_SPAN("sim.sweep");
+    return std::max(kMinParallelGroups / s.lanes(), kChunkGranule);
+}
+
+/** Whether a pool can split work at all. */
+bool
+parallel(const ThreadPool *pool)
+{
+    return pool != nullptr && pool->size() > 1;
+}
+
+/** One op's whole sweep, serially: its range kernel over every group. */
+template <class State>
+void
+sweep(const KernelOp &op, const State &s)
+{
+    s.sweepRange(activeKernels(), op, 0, opGroupCount(op, s.numQubits()));
+}
+
+/** One op's sweep, its group axis chunked over opts.pool. Serial when
+ *  no pool can split it or the sweep is under the serial cutoff. */
+template <class State>
+void
+sweep(const KernelOp &op, const State &s, const ExecOptions &opts)
+{
+    OBS_SPAN(State::kSweepSpan);
+    const KernelTable &k = activeKernels();
     ThreadPool *pool = opts.pool;
-    const std::size_t groups = opGroupCount(op, n_qubits);
-    if (pool == nullptr || pool->size() <= 1 ||
-        groups < kMinParallelGroups) {
-        executeOp(op, amps, n_qubits);
+    const std::size_t groups = opGroupCount(op, s.numQubits());
+    if (!parallel(pool) || groups < minParallelGroups(s)) {
+        s.sweepRange(k, op, 0, groups);
         return;
     }
     const std::size_t chunk = chunkFor(groups, pool->size(), opts.chunk);
@@ -425,102 +474,139 @@ executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
     OBS_COUNT("sim.chunks", tasks);
     pool->parallelFor(tasks, [&](std::size_t t) {
         const std::size_t g0 = t * chunk;
-        const std::size_t g1 = g0 + chunk < groups ? g0 + chunk : groups;
-        executeOpRange(op, amps, n_qubits, g0, g1);
+        s.sweepRange(k, op, g0, std::min(g0 + chunk, groups));
     });
+}
+
+/**
+ * Ops [op_begin, op_end) — all blockable at @p block_qubits — over
+ * blocks [block_begin, block_end), block-outer. A blockable op's
+ * groups tile the index space in block order: block b owns groups
+ * [b * perBlock, (b + 1) * perBlock), so the range kernels replay the
+ * serial sweep exactly.
+ */
+template <class State>
+void
+blockedRange(const Plan &plan, std::size_t op_begin, std::size_t op_end,
+             const State &s, std::size_t block_qubits,
+             std::size_t block_begin, std::size_t block_end)
+{
+    const KernelTable &k = activeKernels();
+    const std::size_t blockDim = std::size_t{1} << block_qubits;
+    for (std::size_t b = block_begin; b < block_end; ++b) {
+        OBS_SPAN("sim.block");
+        for (std::size_t i = op_begin; i < op_end; ++i) {
+            const KernelOp &op = plan.ops()[i];
+            const std::size_t perBlock = blockDim >> opGroupBits(op);
+            s.sweepRange(k, op, b * perBlock, (b + 1) * perBlock);
+        }
+    }
+}
+
+/** One blockable segment, block-outer, blocks spread over the pool.
+ *  Blockable ops never couple amplitudes across block boundaries, so
+ *  the tasks write disjoint amplitude ranges. */
+template <class State>
+void
+blockedSegment(const Plan &plan, const BlockSegment &seg, const State &s,
+               std::size_t block_qubits, const ExecOptions &opts)
+{
+    OBS_SPAN("sim.segment");
+    const std::size_t blocks = plan.dim() >> block_qubits;
+    const std::size_t opEnd = seg.first + seg.count;
+    ThreadPool *pool = opts.pool;
+    if (!parallel(pool) || blocks < 2 ||
+        (plan.dim() >> 1) < minParallelGroups(s)) {
+        blockedRange(plan, seg.first, opEnd, s, block_qubits, 0, blocks);
+        return;
+    }
+    const std::size_t per =
+        std::max<std::size_t>(blocks / (pool->size() * kTasksPerThread), 1);
+    const std::size_t tasks = (blocks + per - 1) / per;
+    OBS_COUNT("sim.block_tasks", tasks);
+    pool->parallelFor(tasks, [&](std::size_t t) {
+        const std::size_t b0 = t * per;
+        blockedRange(plan, seg.first, opEnd, s, block_qubits, b0,
+                     std::min(b0 + per, blocks));
+    });
+}
+
+/**
+ * The plan loop, unsharded: cache-blocked at exponent @p block_qubits
+ * (in [1, n]), or per-op sweeps when it is 0. Serial per-op sweeps
+ * when no pool is given and opts.threads == 1; otherwise one transient
+ * pool (opts.threads workers, 0 = hardware) serves the whole plan when
+ * the caller gave none.
+ */
+template <class State>
+void
+executePlan(const Plan &plan, const State &s, std::size_t block_qubits,
+            const ExecOptions &opts)
+{
+    OBS_SPAN(State::kPlanSpan);
+    if (block_qubits == 0 && opts.pool == nullptr && opts.threads == 1) {
+        for (const KernelOp &op : plan.ops())
+            sweep(op, s);
+        return;
+    }
+    std::optional<ThreadPool> transient;
+    ExecOptions resolved = opts;
+    if (resolved.pool == nullptr && opts.threads != 1) {
+        transient.emplace(opts.threads);
+        resolved.pool = &*transient;
+    }
+    if (block_qubits == 0) {
+        for (const KernelOp &op : plan.ops())
+            sweep(op, s, resolved);
+        return;
+    }
+    for (const BlockSegment &seg : blockSegments(plan, block_qubits)) {
+        if (seg.blockable) {
+            blockedSegment(plan, seg, s, block_qubits, resolved);
+            continue;
+        }
+        // Ops coupling amplitudes across blocks run as ordinary
+        // whole-register sweeps — barriers between blockable segments.
+        for (std::size_t i = seg.first; i < seg.first + seg.count; ++i)
+            sweep(plan.ops()[i], s, resolved);
+    }
+}
+
+void
+checkBlockQubits(const Plan &plan, std::size_t block_qubits,
+                 const char *what)
+{
+    if (block_qubits == 0 || block_qubits > plan.numQubits())
+        throw std::invalid_argument(
+            std::string(what) + ": block_qubits must lie in [1, plan width]");
+}
+
+} // namespace
+
+void
+executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits)
+{
+    sweep(op, Interleaved{amps, n_qubits});
+}
+
+void
+executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
+          const ExecOptions &opts)
+{
+    sweep(op, Interleaved{amps, n_qubits}, opts);
 }
 
 void
 executeOpBatched(const KernelOp &op, BatchState &batch)
 {
-    double *re = batch.re();
-    double *im = batch.im();
-    const std::size_t n = batch.numQubits();
-    const std::size_t b = batch.batch();
-    const std::size_t dim = std::size_t{1} << n;
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1qBatchRange(re, im, n, b, op.q0, op.m.data(), 0, dim >> 1);
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiagBatchRange(re, im, n, b, op.q0, op.m[0], op.m[1], 0,
-                                dim >> 1);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2qBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(), 0,
-                            dim >> 2);
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiagBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(), 0,
-                                dim >> 2);
-        return;
-      case KernelKind::Dense:
-        k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits, 0,
-                               dim >> op.qubits.size());
-        return;
-    }
-    throw std::logic_error("executeOpBatched: unknown kernel kind");
-}
-
-void
-executeOpBatchedRange(const KernelOp &op, BatchState &batch,
-                      std::size_t group_begin, std::size_t group_end)
-{
-    double *re = batch.re();
-    double *im = batch.im();
-    const std::size_t n = batch.numQubits();
-    const std::size_t b = batch.batch();
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1qBatchRange(re, im, n, b, op.q0, op.m.data(), group_begin,
-                            group_end);
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiagBatchRange(re, im, n, b, op.q0, op.m[0], op.m[1],
-                                group_begin, group_end);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2qBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(),
-                            group_begin, group_end);
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiagBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(),
-                                group_begin, group_end);
-        return;
-      case KernelKind::Dense:
-        k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits,
-                               group_begin, group_end);
-        return;
-    }
-    throw std::logic_error("executeOpBatchedRange: unknown kernel kind");
+    sweep(op, Soa{batch});
 }
 
 void
 executeOpBatched(const KernelOp &op, BatchState &batch,
                  const ExecOptions &opts)
 {
-    OBS_SPAN("sim.sweep_batched");
-    ThreadPool *pool = opts.pool;
-    const std::size_t groups = opGroupCount(op, batch.numQubits());
-    // Each group carries batch() lanes of work, so the serial cutoff
-    // scales down with the batch width (but never below one granule).
-    const std::size_t scaled = kMinParallelGroups / batch.batch();
-    const std::size_t minGroups =
-        scaled > kChunkGranule ? scaled : kChunkGranule;
-    if (pool == nullptr || pool->size() <= 1 || groups < minGroups) {
-        executeOpBatched(op, batch);
-        return;
-    }
-    const std::size_t chunk = chunkFor(groups, pool->size(), opts.chunk);
-    const std::size_t tasks = (groups + chunk - 1) / chunk;
-    OBS_COUNT("sim.chunks", tasks);
-    pool->parallelFor(tasks, [&](std::size_t t) {
-        const std::size_t g0 = t * chunk;
-        const std::size_t g1 = g0 + chunk < groups ? g0 + chunk : groups;
-        executeOpBatchedRange(op, batch, g0, g1);
-    });
+    sweep(op, Soa{batch}, opts);
 }
 
 void
@@ -529,10 +615,7 @@ executeBlockedRange(const Plan &plan, std::size_t op_begin,
                     std::size_t block_qubits, std::size_t block_begin,
                     std::size_t block_end)
 {
-    const std::size_t n = plan.numQubits();
-    if (block_qubits == 0 || block_qubits > n)
-        throw std::invalid_argument(
-            "executeBlockedRange: block_qubits must lie in [1, plan width]");
+    checkBlockQubits(plan, block_qubits, "executeBlockedRange");
     if (op_begin > op_end || op_end > plan.ops().size())
         throw std::invalid_argument(
             "executeBlockedRange: op interval out of range");
@@ -544,241 +627,57 @@ executeBlockedRange(const Plan &plan, std::size_t op_begin,
         if (plan.minBlockBits()[i] > block_qubits)
             throw std::invalid_argument(
                 "executeBlockedRange: op not blockable at this exponent");
-    const std::size_t blockDim = std::size_t{1} << block_qubits;
-    for (std::size_t b = block_begin; b < block_end; ++b) {
-        OBS_SPAN("sim.block");
-        // A blockable op's groups tile the index space in block order:
-        // block b owns groups [b * perBlock, (b + 1) * perBlock), so
-        // the per-op Range kernels replay the serial sweep exactly.
-        for (std::size_t i = op_begin; i < op_end; ++i) {
-            const KernelOp &op = plan.ops()[i];
-            const std::size_t perBlock = blockDim >> opGroupBits(op);
-            executeOpRange(op, amps, n, b * perBlock, (b + 1) * perBlock);
-        }
-    }
+    blockedRange(plan, op_begin, op_end,
+                 Interleaved{amps, plan.numQubits()}, block_qubits,
+                 block_begin, block_end);
 }
-
-namespace {
-
-/** executeBlockedRange's loop nest on a SoA batch (inputs validated by
- *  the executeBlockedBatched caller). */
-void
-blockedBatchedRange(const Plan &plan, std::size_t op_begin,
-                    std::size_t op_end, BatchState &batch,
-                    std::size_t block_qubits, std::size_t block_begin,
-                    std::size_t block_end)
-{
-    const std::size_t blockDim = std::size_t{1} << block_qubits;
-    for (std::size_t b = block_begin; b < block_end; ++b) {
-        OBS_SPAN("sim.block");
-        for (std::size_t i = op_begin; i < op_end; ++i) {
-            const KernelOp &op = plan.ops()[i];
-            const std::size_t perBlock = blockDim >> opGroupBits(op);
-            executeOpBatchedRange(op, batch, b * perBlock,
-                                  (b + 1) * perBlock);
-        }
-    }
-}
-
-/** One blockable segment, block-outer, blocks spread over the pool.
- *  Blockable ops never couple amplitudes across block boundaries, so
- *  the tasks write disjoint amplitude ranges. */
-void
-runBlockedSegment(const Plan &plan, const BlockSegment &seg, Complex *amps,
-                  std::size_t block_qubits, const ExecOptions &opts)
-{
-    OBS_SPAN("sim.segment");
-    const std::size_t blocks = plan.dim() >> block_qubits;
-    ThreadPool *pool = opts.pool;
-    if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
-        (plan.dim() >> 1) < kMinParallelGroups) {
-        executeBlockedRange(plan, seg.first, seg.first + seg.count, amps,
-                            block_qubits, 0, blocks);
-        return;
-    }
-    std::size_t per = blocks / (pool->size() * kTasksPerThread);
-    if (per == 0)
-        per = 1;
-    const std::size_t tasks = (blocks + per - 1) / per;
-    OBS_COUNT("sim.block_tasks", tasks);
-    pool->parallelFor(tasks, [&](std::size_t t) {
-        const std::size_t b0 = t * per;
-        const std::size_t b1 = b0 + per < blocks ? b0 + per : blocks;
-        executeBlockedRange(plan, seg.first, seg.first + seg.count, amps,
-                            block_qubits, b0, b1);
-    });
-}
-
-/** runBlockedSegment on a SoA batch; the serial cutoff scales down
- *  with the lane count exactly as executeOpBatched's does. */
-void
-runBlockedSegmentBatched(const Plan &plan, const BlockSegment &seg,
-                         BatchState &batch, std::size_t block_qubits,
-                         const ExecOptions &opts)
-{
-    OBS_SPAN("sim.segment");
-    const std::size_t blocks = plan.dim() >> block_qubits;
-    const std::size_t scaled = kMinParallelGroups / batch.batch();
-    const std::size_t minGroups =
-        scaled > kChunkGranule ? scaled : kChunkGranule;
-    ThreadPool *pool = opts.pool;
-    if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
-        (plan.dim() >> 1) < minGroups) {
-        blockedBatchedRange(plan, seg.first, seg.first + seg.count, batch,
-                            block_qubits, 0, blocks);
-        return;
-    }
-    std::size_t per = blocks / (pool->size() * kTasksPerThread);
-    if (per == 0)
-        per = 1;
-    const std::size_t tasks = (blocks + per - 1) / per;
-    OBS_COUNT("sim.block_tasks", tasks);
-    pool->parallelFor(tasks, [&](std::size_t t) {
-        const std::size_t b0 = t * per;
-        const std::size_t b1 = b0 + per < blocks ? b0 + per : blocks;
-        blockedBatchedRange(plan, seg.first, seg.first + seg.count, batch,
-                            block_qubits, b0, b1);
-    });
-}
-
-} // namespace
 
 void
 executeBlocked(const Plan &plan, Complex *amps, std::size_t block_qubits,
                const ExecOptions &opts)
 {
-    const std::size_t n = plan.numQubits();
-    if (block_qubits == 0 || block_qubits > n)
-        throw std::invalid_argument(
-            "executeBlocked: block_qubits must lie in [1, plan width]");
-    OBS_SPAN("sim.plan");
-    const std::vector<BlockSegment> segments =
-        blockSegments(plan, block_qubits);
-    std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr && opts.threads != 1) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const BlockSegment &seg : segments) {
-        if (seg.blockable) {
-            runBlockedSegment(plan, seg, amps, block_qubits, resolved);
-            continue;
-        }
-        // Ops coupling amplitudes across blocks run as ordinary
-        // whole-register sweeps — barriers between blockable segments.
-        for (std::size_t i = seg.first; i < seg.first + seg.count; ++i)
-            executeOp(plan.ops()[i], amps, n, resolved);
-    }
-}
-
-void
-executeBlockedBatched(const Plan &plan, BatchState &batch,
-                      std::size_t block_qubits, const ExecOptions &opts)
-{
-    if (batch.numQubits() != plan.numQubits())
-        throw std::invalid_argument(
-            "executeBlockedBatched: batch width does not match plan width");
-    if (block_qubits == 0 || block_qubits > plan.numQubits())
-        throw std::invalid_argument(
-            "executeBlockedBatched: block_qubits must lie in [1, plan "
-            "width]");
-    OBS_SPAN("sim.plan_batched");
-    const std::vector<BlockSegment> segments =
-        blockSegments(plan, block_qubits);
-    std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr && opts.threads != 1) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const BlockSegment &seg : segments) {
-        if (seg.blockable) {
-            runBlockedSegmentBatched(plan, seg, batch, block_qubits,
-                                     resolved);
-            continue;
-        }
-        for (std::size_t i = seg.first; i < seg.first + seg.count; ++i)
-            executeOpBatched(plan.ops()[i], batch, resolved);
-    }
-}
-
-void
-executeBatched(const Plan &plan, BatchState &batch, const ExecOptions &opts)
-{
-    // Sharding first: block exponents then apply within each shard's
-    // slice. The sharded path compiles its own schedule and never
-    // re-enters here with shardBits set.
-    const std::size_t shards =
-        resolveShardBits(opts.shardBits, plan.numQubits());
-    if (shards != 0) {
-        executeShardedBatched(compileSharded(plan, shards), batch, opts);
-        return;
-    }
-    const std::size_t block =
-        resolveBlockQubits(opts.blockQubits, plan.numQubits());
-    if (block != 0) {
-        executeBlockedBatched(plan, batch, block, opts);
-        return;
-    }
-    if (batch.numQubits() != plan.numQubits())
-        throw std::invalid_argument(
-            "executeBatched: batch width does not match plan width");
-    OBS_SPAN("sim.plan_batched");
-    if (opts.pool == nullptr && opts.threads == 1) {
-        for (const KernelOp &op : plan.ops())
-            executeOpBatched(op, batch);
-        return;
-    }
-    std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const KernelOp &op : plan.ops())
-        executeOpBatched(op, batch, resolved);
+    checkBlockQubits(plan, block_qubits, "executeBlocked");
+    executePlan(plan, Interleaved{amps, plan.numQubits()}, block_qubits,
+                opts);
 }
 
 void
 execute(const Plan &plan, Complex *amps)
 {
-    OBS_SPAN("sim.plan");
-    for (const KernelOp &op : plan.ops())
-        executeOp(op, amps, plan.numQubits());
+    executePlan(plan, Interleaved{amps, plan.numQubits()}, 0, {});
 }
 
 void
 execute(const Plan &plan, Complex *amps, const ExecOptions &opts)
 {
-    // Sharding first, as in executeBatched.
-    const std::size_t shards =
-        resolveShardBits(opts.shardBits, plan.numQubits());
+    // Sharding first: block exponents then apply within each shard's
+    // slice. The sharded path compiles its own schedule and never
+    // re-enters here with shardBits set.
+    const std::size_t n = plan.numQubits();
+    const std::size_t shards = resolveShardBits(opts.shardBits, n);
     if (shards != 0) {
         executeSharded(compileSharded(plan, shards), amps, opts);
         return;
     }
-    const std::size_t block =
-        resolveBlockQubits(opts.blockQubits, plan.numQubits());
-    if (block != 0) {
-        executeBlocked(plan, amps, block, opts);
+    executePlan(plan, Interleaved{amps, n},
+                resolveBlockQubits(opts.blockQubits, n), opts);
+}
+
+void
+executeBatched(const Plan &plan, BatchState &batch, const ExecOptions &opts)
+{
+    const std::size_t n = plan.numQubits();
+    if (batch.numQubits() != n)
+        throw std::invalid_argument(
+            "executeBatched: batch width does not match plan width");
+    // Sharding first, as in execute.
+    const std::size_t shards = resolveShardBits(opts.shardBits, n);
+    if (shards != 0) {
+        executeShardedBatched(compileSharded(plan, shards), batch, opts);
         return;
     }
-    if (opts.pool == nullptr && opts.threads == 1) {
-        execute(plan, amps);
-        return;
-    }
-    OBS_SPAN("sim.plan");
-    // One transient pool serves every sweep of this execution when the
-    // caller did not provide one (opts.threads == 0 = hardware).
-    std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const KernelOp &op : plan.ops())
-        executeOp(op, amps, plan.numQubits(), resolved);
+    executePlan(plan, Soa{batch}, resolveBlockQubits(opts.blockQubits, n),
+                opts);
 }
 
 void

@@ -19,14 +19,17 @@
  * threads at once on distinct statevectors, which is what the
  * trajectory batch runner (batch.hh) does.
  *
- * Execution itself offers a second, orthogonal parallel axis: with
- * ExecOptions (batch.hh), each kernel sweep partitions its amplitude-
- * group index space (pairs / quads / dense tuples — a group is never
- * split, so chunks touch disjoint amplitudes) into cache-line-aligned
+ * Every sweep runs through the group-range kernels (kernels.hh): a
+ * serial sweep is the range [0, groups), and with ExecOptions
+ * (batch.hh) — the second, orthogonal parallel axis — the group index
+ * space (pairs / quads / dense tuples — a group is never split, so
+ * chunks touch disjoint amplitudes) splits into cache-line-aligned
  * chunks executed on a sim::ThreadPool. Chunked sweeps replay the
  * serial per-amplitude operation sequence exactly, so state-parallel
- * execution is bit-identical to the serial and SIMD-serial backends
- * for any thread count and chunk size.
+ * execution is bit-identical to serial execution for any thread count
+ * and chunk size. Each execution driver (chunked sweep, blocked range,
+ * blocked segment, plan loop) is written once over the state layout
+ * and serves both the interleaved statevector and the SoA BatchState.
  *
  * Plan-level execution additionally supports a cache-blocked mode
  * (ExecOptions::blockQubits, see sim/cache.hh for the auto policy):
@@ -44,7 +47,7 @@
  * sequence, so blocked execution is bit-identical to every other
  * backend; blocks are the parallel granule (blocks across pool
  * threads), and the mode composes with SoA-batched lanes
- * (executeBlockedBatched).
+ * (executeBatched).
  */
 
 #ifndef CRISC_SIM_ENGINE_HH
@@ -198,15 +201,6 @@ void executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits);
 void executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
                const ExecOptions &opts);
 
-/**
- * Executes the sub-range [group_begin, group_end) of one operation's
- * amplitude-group sweep (pairs for 1q, quads for 2q, 2^k-tuples for
- * dense); the parallel substrate, exported for the equivalence tests.
- */
-void executeOpRange(const KernelOp &op, Complex *amps,
-                    std::size_t n_qubits, std::size_t group_begin,
-                    std::size_t group_end);
-
 /** Amplitude groups in @p op's sweep on an n-qubit register. */
 std::size_t opGroupCount(const KernelOp &op, std::size_t n_qubits);
 
@@ -214,26 +208,29 @@ std::size_t opGroupCount(const KernelOp &op, std::size_t n_qubits);
 void execute(const Plan &plan, Complex *amps);
 
 /**
- * Executes a plan in place, running each kernel sweep state-parallel
- * per @p opts. When opts.pool is unset and opts.threads > 1, one
- * transient pool serves the whole plan execution. When
- * opts.blockQubits resolves to a block exponent (resolveBlockQubits,
- * cache.hh — auto-on from kAutoBlockFromWidth qubits), dispatches to
- * executeBlocked; results are bit-identical either way.
+ * Executes a plan in place per @p opts. Sharded first when
+ * opts.shardBits resolves to shards (shard.hh); otherwise cache-
+ * blocked when opts.blockQubits resolves to a block exponent
+ * (resolveBlockQubits, cache.hh — auto-on from kAutoBlockFromWidth
+ * qubits), with each sweep state-parallel over opts.pool. When
+ * opts.pool is unset and opts.threads != 1, one transient pool serves
+ * the whole plan execution. Results are bit-identical every way.
+ *
+ * Cache-blocked execution partitions the ops into blockable segments
+ * (blockSegments) and, for each blockable segment, iterates the
+ * 2^(n-b) contiguous amplitude blocks in the outer loop, applying all
+ * of the segment's ops to one L2-resident block before the next.
+ * Non-blockable segments run as ordinary full-register sweeps. Blocks
+ * are independent within a segment, so a pool partitions the block
+ * axis.
  */
 void execute(const Plan &plan, Complex *amps, const ExecOptions &opts);
 
 /**
- * Cache-blocked plan execution: partitions the ops into blockable
- * segments at block exponent @p block_qubits (blockSegments) and, for
- * each blockable segment, iterates the 2^(n-b) contiguous amplitude
- * blocks in the outer loop, applying all of the segment's ops to one
- * L2-resident block before the next. Non-blockable segments run as
- * ordinary full-register sweeps (chunked per @p opts). Blocks are
- * independent within a segment, so a pool in @p opts partitions the
- * block axis; when opts.pool is unset and opts.threads > 1 a
- * transient pool is created. Bit-identical to serial execution for
- * every block exponent, thread count, and chunk size.
+ * Cache-blocked execution at block exponent @p block_qubits, never
+ * sharded and blind to opts.blockQubits and opts.shardBits: the entry
+ * the sharded executor runs each shard's slice through, so it cannot
+ * recurse into sharding. Otherwise as execute().
  * @throws std::invalid_argument when block_qubits is 0 or exceeds the
  *         plan width (resolveBlockQubits clamps the user-facing knob
  *         before it reaches here).
@@ -272,42 +269,23 @@ void executeOpBatched(const KernelOp &op, BatchState &batch);
 
 /**
  * Batched executeOp with state-parallel sweeps per @p opts. Serial when
- * no pool is set, the pool has one thread, or the sweep is too small.
+ * no pool is set, the pool has one thread, or the sweep is too small
+ * (the cutoff scales down with the lane count).
  */
 void executeOpBatched(const KernelOp &op, BatchState &batch,
                       const ExecOptions &opts);
 
 /**
- * Executes groups [group_begin, group_end) of one operation's sweep on
- * every lane of a batch; the batched parallel substrate.
- */
-void executeOpBatchedRange(const KernelOp &op, BatchState &batch,
-                           std::size_t group_begin, std::size_t group_end);
-
-/**
- * Executes a plan in place on every lane of a batch, state-parallel per
- * @p opts (serial by default; bit-identical either way). When
- * opts.blockQubits resolves to a block exponent, dispatches to
- * executeBlockedBatched.
+ * execute() on every lane of a batch: the same sharding, cache-blocking
+ * and state-parallel choices per @p opts, with each group's lanes
+ * advanced together by the batched range kernels. Every lane is
+ * bit-identical to executing the plan serially on that lane's
+ * statevector, for every block exponent, thread count, and lane count.
  * @throws std::invalid_argument when the batch width does not match the
  *         plan width.
  */
 void executeBatched(const Plan &plan, BatchState &batch,
                     const ExecOptions &opts = {});
-
-/**
- * executeBlocked on every lane of a batch: the same blockable-segment
- * partition and block-outer loop nest, with each block's lanes
- * advanced together by the batched range kernels. Every lane is
- * bit-identical to executing the plan serially on that lane's
- * statevector, for every block exponent, thread count, and lane
- * count.
- * @throws std::invalid_argument on a width mismatch or an invalid
- *         block exponent (as executeBlocked).
- */
-void executeBlockedBatched(const Plan &plan, BatchState &batch,
-                           std::size_t block_qubits,
-                           const ExecOptions &opts = {});
 
 /** Executes a plan on |0...0> and returns the resulting statevector. */
 linalg::CVector run(const Plan &plan);

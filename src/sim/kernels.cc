@@ -432,8 +432,8 @@ applyDenseBatch(double *re, double *im, std::size_t n_qubits,
 } // namespace scalar
 
 // ---------------------------------------------------------------------
-// Shared dense (k-qubit) implementations: gather/scatter dominated, no
-// SIMD, so every backend's KernelTable points at these — one definition
+// Shared dense (k-qubit) implementation: gather/scatter dominated, no
+// SIMD, so every backend's KernelTable points at it — one definition
 // serves all tables and the public sim::applyDense* wrappers.
 // ---------------------------------------------------------------------
 
@@ -479,16 +479,6 @@ applyDenseRangeShared(Complex *amps, std::size_t n_qubits,
         for (std::size_t g = 0; g < gdim; ++g)
             amps[idx[g]] = out[g];
     }
-}
-
-void
-applyDenseShared(Complex *amps, std::size_t n_qubits, const Matrix &op,
-                 const std::vector<std::size_t> &qubits)
-{
-    // Same visit order and per-group arithmetic as the historical
-    // skip-scan loop, but enumerating groups directly.
-    applyDenseRangeShared(amps, n_qubits, op, qubits, 0,
-                          (std::size_t{1} << n_qubits) >> qubits.size());
 }
 
 } // namespace detail

@@ -25,13 +25,15 @@
  * Every kernel sweep enumerates an independent *group* per iteration —
  * an amplitude pair (1q), quad (2q), or 2^k-tuple (dense) — and groups
  * never share amplitudes, so a sweep partitions freely along the group
- * axis. The *Range variants below execute one sub-interval [g0, g2) of
+ * axis. The *Range variants below execute one sub-interval [g0, g1) of
  * that group index space with the exact per-amplitude operation
- * sequence of the full kernels: any partition of [0, groups)
- * reassembles the full sweep bit for bit, which is what the state-
- * parallel execution path in engine.hh relies on (a group is never
- * split across chunks, so no two chunks touch the same amplitude).
- * Cache-blocked plan execution (engine.hh executeBlocked) reuses the
+ * sequence of the sim::scalar full-sweep references: any partition of
+ * [0, groups) reassembles the full sweep bit for bit. The range form
+ * is the only dispatched form of the dense and diagonal 1q/2q kernels
+ * — the full-sweep wrappers below run it over [0, groups) — and the
+ * state-parallel execution path in engine.hh partitions it (a group
+ * is never split across chunks, so no two chunks touch the same
+ * amplitude). Cache-blocked plan execution (engine.hh) reuses the
  * same contract: when an op's targets all address index bits below a
  * block exponent b, the groups of one 2^b-amplitude block form the
  * contiguous range [block * 2^(b-k), (block + 1) * 2^(b-k)), so the
@@ -173,12 +175,12 @@ void applyDense(Complex *amps, std::size_t n_qubits, const Matrix &op,
                 const std::vector<std::size_t> &qubits);
 
 // ---------------------------------------------------------------------
-// Group-range kernels: the state-parallel execution substrate. Each
+// Group-range kernels: the execution substrate of every sweep. Each
 // runs the sub-interval [g0, g1) of the sweep's group index space —
 // pairs for 1q, quads for 2q, 2^k-tuples for dense — with the same
-// per-amplitude operation sequence as the full kernel, so the full
-// sweep over any partition of [0, groups) is bit-identical to the
-// serial kernel. Group g addresses the g-th pair/quad/tuple in
+// per-amplitude operation sequence as the scalar full-sweep reference,
+// so the sweep over any partition of [0, groups) is bit-identical to
+// it. Group g addresses the g-th pair/quad/tuple in
 // ascending base-index order; a group is never split, so disjoint
 // ranges touch disjoint amplitudes.
 // ---------------------------------------------------------------------

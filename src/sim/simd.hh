@@ -197,25 +197,29 @@ struct CVec
     __m512d im;
 };
 
-/** Deinterleaving load: unpacklo/unpackhi interleave per 128-bit lane,
- *  yielding element order 0,4,1,5,2,6,3,7 — the same trick as AVX2,
- *  inverted exactly by storec. */
+/** Deinterleaving load: two-source permutes gather the even (real)
+ *  and odd (imaginary) doubles of 8 amplitudes in element order
+ *  0..7; storec applies the exact inverse. */
 inline CVec
 loadc(const std::complex<double> *p)
 {
     const double *d = reinterpret_cast<const double *>(p);
     const __m512d lo = _mm512_loadu_pd(d);     // r0 i0 .. r3 i3
     const __m512d hi = _mm512_loadu_pd(d + 8); // r4 i4 .. r7 i7
-    return {_mm512_unpacklo_pd(lo, hi),        // r0 r4 r1 r5 r2 r6 r3 r7
-            _mm512_unpackhi_pd(lo, hi)};       // i0 i4 i1 i5 i2 i6 i3 i7
+    const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+    return {_mm512_permutex2var_pd(lo, even, hi),  // r0 r1 .. r7
+            _mm512_permutex2var_pd(lo, odd, hi)};  // i0 i1 .. i7
 }
 
 inline void
 storec(std::complex<double> *p, CVec a)
 {
     double *d = reinterpret_cast<double *>(p);
-    _mm512_storeu_pd(d, _mm512_unpacklo_pd(a.re, a.im));
-    _mm512_storeu_pd(d + 8, _mm512_unpackhi_pd(a.re, a.im));
+    const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    _mm512_storeu_pd(d, _mm512_permutex2var_pd(a.re, first, a.im));
+    _mm512_storeu_pd(d + 8, _mm512_permutex2var_pd(a.re, second, a.im));
 }
 
 inline CVec

@@ -2,10 +2,11 @@
  * @file
  * Shared statevector test fixtures: a seeded random normalized state,
  * an element-wise max-difference metric, a bitwise-equality predicate,
- * a random circuit covering all five KernelKinds, and a scoped
- * environment-variable override that drops the sim/env.hh parse caches.
- * Used by the simulation (test_sim.cc), SIMD-equivalence
- * (test_simd.cc), blocked-execution (test_blocked.cc), and sharded
+ * a random circuit covering all five KernelKinds, a scoped
+ * environment-variable override that drops the sim/env.hh parse caches,
+ * and a scoped kernel-backend override. Used by the simulation
+ * (test_sim.cc), SIMD-equivalence (test_simd.cc), dispatch
+ * (test_dispatch.cc), blocked-execution (test_blocked.cc), and sharded
  * (test_shard.cc) suites so they all exercise identical state and
  * circuit generation.
  */
@@ -17,11 +18,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.hh"
 #include "linalg/matrix.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
+#include "sim/dispatch.hh"
 #include "sim/env.hh"
 
 namespace crisc {
@@ -145,6 +148,39 @@ class ScopedEnv
     bool hadOld_ = false;
     std::string old_;
 };
+
+/**
+ * Forces a kernel backend for a scope (sim::setDispatchOverride) and
+ * restores the environment's choice on exit — CRISC_SIMD_DISPATCH when
+ * set, the CPU probe otherwise — so a forcing test never changes the
+ * backend the rest of the binary runs under.
+ */
+class ScopedDispatch
+{
+  public:
+    /** Restores on exit only; the scope may force backends itself. */
+    ScopedDispatch() = default;
+    explicit ScopedDispatch(const std::string &backend)
+    {
+        sim::setDispatchOverride(backend);
+    }
+    ~ScopedDispatch() { sim::setDispatchOverride(sim::env::simdDispatch()); }
+
+    ScopedDispatch(const ScopedDispatch &) = delete;
+    ScopedDispatch &operator=(const ScopedDispatch &) = delete;
+};
+
+/** Names of every backend compiled in and supported by this CPU, in
+ *  probe order (always ends with "scalar"). */
+inline std::vector<std::string>
+selectableBackends()
+{
+    std::vector<std::string> names;
+    for (const sim::Backend b : sim::compiledBackends())
+        if (sim::hostSupports(b))
+            names.push_back(sim::backendName(b));
+    return names;
+}
 
 } // namespace testutil
 } // namespace crisc

@@ -247,7 +247,8 @@ TEST(BlockedExecution, BitIdenticalForEveryExponentThreadAndLaneCount)
                 sim::BatchState batch = sim::BatchState::pack(states);
                 sim::ExecOptions opts;
                 opts.threads = 2;
-                sim::executeBlockedBatched(plan, batch, b, opts);
+                opts.blockQubits = b;
+                sim::executeBatched(plan, batch, opts);
                 for (std::size_t l = 0; l < lanes; ++l) {
                     CVector lref = states[l];
                     sim::execute(plan, lref.data());
@@ -355,7 +356,9 @@ TEST(BlockedExecution, ValidatesArguments)
                  std::invalid_argument);
 
     sim::BatchState batch(n - 1, 2); // width mismatch
-    EXPECT_THROW(sim::executeBlockedBatched(plan, batch, 4, {}),
+    sim::ExecOptions blocked;
+    blocked.blockQubits = 4;
+    EXPECT_THROW(sim::executeBatched(plan, batch, blocked),
                  std::invalid_argument);
 }
 

@@ -44,12 +44,6 @@ bitIdentical(const CVector &a, const CVector &b)
     return true;
 }
 
-/** Restores the probe-resolved backend when a forcing test exits. */
-struct DispatchRestore
-{
-    ~DispatchRestore() { sim::setDispatchOverride("auto"); }
-};
-
 constexpr sim::Backend kAllBackends[] = {
     sim::Backend::Scalar, sim::Backend::Avx2, sim::Backend::Avx512,
     sim::Backend::Neon};
@@ -136,7 +130,7 @@ TEST(Dispatch, ForcingUncompiledBackendThrows)
     // A binary never carries both x86 and aarch64 backends, so at least
     // one of the four is always absent — forcing it must throw, not
     // fall back.
-    DispatchRestore restore;
+    testutil::ScopedDispatch restore;
     bool sawUncompiled = false;
     for (const sim::Backend b : kAllBackends) {
         if (sim::backendCompiled(b))
@@ -165,7 +159,7 @@ TEST(Dispatch, ForcingUncompiledBackendThrows)
 
 TEST(Dispatch, AutoResolvesDeterministically)
 {
-    DispatchRestore restore;
+    testutil::ScopedDispatch restore;
     sim::setDispatchOverride("auto");
     const sim::Backend first = sim::activeBackend();
     sim::setDispatchOverride("auto");
@@ -204,12 +198,7 @@ TEST(Dispatch, EveryCompiledTableIsComplete)
         EXPECT_STREQ(t.name, sim::backendName(b));
         EXPECT_GE(t.lanes, 1u);
 
-        EXPECT_NE(t.apply1q, nullptr);
-        EXPECT_NE(t.apply1qDiag, nullptr);
         EXPECT_NE(t.applyPauli, nullptr);
-        EXPECT_NE(t.apply2q, nullptr);
-        EXPECT_NE(t.apply2qDiag, nullptr);
-        EXPECT_NE(t.applyDense, nullptr);
         EXPECT_NE(t.apply1qRange, nullptr);
         EXPECT_NE(t.apply1qDiagRange, nullptr);
         EXPECT_NE(t.apply2qRange, nullptr);
@@ -223,8 +212,7 @@ TEST(Dispatch, EveryCompiledTableIsComplete)
         EXPECT_NE(t.applyDenseBatchRange, nullptr);
         EXPECT_NE(t.applyPauliLane, nullptr);
 
-        // Dense kernels carry no SIMD: one shared implementation.
-        EXPECT_EQ(t.applyDense, &sim::detail::applyDenseShared);
+        // The dense kernel carries no SIMD: one shared implementation.
         EXPECT_EQ(t.applyDenseRange, &sim::detail::applyDenseRangeShared);
     }
     const sim::KernelTable &scalar =
@@ -248,7 +236,7 @@ TEST(Dispatch, EveryCompiledTableIsComplete)
 
 TEST(Dispatch, EveryBackendBitIdenticalToScalarOnEveryPath)
 {
-    DispatchRestore restore;
+    testutil::ScopedDispatch restore;
     linalg::Rng rng(83);
     const std::size_t n = 10;
     const std::size_t lanes = 3;
@@ -258,9 +246,8 @@ TEST(Dispatch, EveryBackendBitIdenticalToScalarOnEveryPath)
     // Force every compiled+supported backend by name, plus "auto" —
     // the override path the CI multi-ISA job uses.
     std::vector<std::string> selections{"auto"};
-    for (const sim::Backend b : sim::compiledBackends())
-        if (sim::hostSupports(b))
-            selections.push_back(sim::backendName(b));
+    for (const std::string &name : testutil::selectableBackends())
+        selections.push_back(name);
 
     for (int rep = 0; rep < 3; ++rep) {
         const circuit::Circuit c = randomCircuit(rng, n, 40);

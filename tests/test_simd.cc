@@ -58,20 +58,28 @@ TEST(Simd, BackendIsWellFormed)
     EXPECT_EQ(lanes & (lanes - 1), 0u) << "lane count must be 2^k";
 }
 
+// The stride and pair sweeps run once per selectable backend (every
+// backend compiled in and supported by this CPU, forced in-process), so
+// registers narrower than one vector reach each backend's scalar
+// fallback whatever CRISC_SIMD_DISPATCH resolves to.
+
 TEST(Simd, Apply1qMatchesScalarOnAllStrides)
 {
     linalg::Rng rng(101);
-    for (std::size_t n = 1; n <= 9; ++n) {
-        const Matrix u = linalg::haarUnitary(rng, 2);
-        const Complex m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
-        for (std::size_t q = 0; q < n; ++q) {
-            const CVector in = randomState(rng, n);
-            CVector viaScalar = in, viaSimd = in;
-            sim::scalar::apply1q(viaScalar.data(), n, q, m);
-            sim::apply1q(viaSimd.data(), n, q, m);
-            EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-            EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                << "n=" << n << " q=" << q;
+    for (const std::string &backend : testutil::selectableBackends()) {
+        testutil::ScopedDispatch force(backend);
+        for (std::size_t n = 1; n <= 9; ++n) {
+            const Matrix u = linalg::haarUnitary(rng, 2);
+            const Complex m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
+            for (std::size_t q = 0; q < n; ++q) {
+                const CVector in = randomState(rng, n);
+                CVector viaScalar = in, viaSimd = in;
+                sim::scalar::apply1q(viaScalar.data(), n, q, m);
+                sim::apply1q(viaSimd.data(), n, q, m);
+                EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
+                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
+                    << backend << " n=" << n << " q=" << q;
+            }
         }
     }
 }
@@ -80,16 +88,19 @@ TEST(Simd, Apply1qDiagMatchesScalarOnAllStrides)
 {
     linalg::Rng rng(102);
     const Matrix u = qop::rz(1.2345);
-    for (std::size_t n = 1; n <= 9; ++n) {
-        for (std::size_t q = 0; q < n; ++q) {
-            const CVector in = randomState(rng, n);
-            CVector viaScalar = in, viaSimd = in;
-            sim::scalar::apply1qDiag(viaScalar.data(), n, q, u(0, 0),
-                                     u(1, 1));
-            sim::apply1qDiag(viaSimd.data(), n, q, u(0, 0), u(1, 1));
-            EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-            EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                << "n=" << n << " q=" << q;
+    for (const std::string &backend : testutil::selectableBackends()) {
+        testutil::ScopedDispatch force(backend);
+        for (std::size_t n = 1; n <= 9; ++n) {
+            for (std::size_t q = 0; q < n; ++q) {
+                const CVector in = randomState(rng, n);
+                CVector viaScalar = in, viaSimd = in;
+                sim::scalar::apply1qDiag(viaScalar.data(), n, q, u(0, 0),
+                                         u(1, 1));
+                sim::apply1qDiag(viaSimd.data(), n, q, u(0, 0), u(1, 1));
+                EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
+                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
+                    << backend << " n=" << n << " q=" << q;
+            }
         }
     }
 }
@@ -97,41 +108,52 @@ TEST(Simd, Apply1qDiagMatchesScalarOnAllStrides)
 TEST(Simd, ApplyPauliMatchesScalarOnAllStrides)
 {
     linalg::Rng rng(103);
-    for (std::size_t n = 1; n <= 9; ++n) {
-        for (std::size_t q = 0; q < n; ++q) {
-            for (std::size_t p = 1; p <= 3; ++p) {
-                const CVector in = randomState(rng, n);
-                CVector viaScalar = in, viaSimd = in;
-                sim::scalar::applyPauli(viaScalar.data(), n, q, p);
-                sim::applyPauli(viaSimd.data(), n, q, p);
-                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                    << "n=" << n << " q=" << q << " pauli=" << p;
+    for (const std::string &backend : testutil::selectableBackends()) {
+        testutil::ScopedDispatch force(backend);
+        for (std::size_t n = 1; n <= 9; ++n) {
+            for (std::size_t q = 0; q < n; ++q) {
+                for (std::size_t p = 1; p <= 3; ++p) {
+                    const CVector in = randomState(rng, n);
+                    CVector viaScalar = in, viaSimd = in;
+                    sim::scalar::applyPauli(viaScalar.data(), n, q, p);
+                    sim::applyPauli(viaSimd.data(), n, q, p);
+                    EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
+                        << backend << " n=" << n << " q=" << q
+                        << " pauli=" << p;
+                }
             }
         }
+        CVector buf(2, Complex{1.0, 0.0});
+        EXPECT_THROW(sim::applyPauli(buf.data(), 1, 0, 4),
+                     std::invalid_argument)
+            << backend;
+        EXPECT_THROW(sim::applyPauli(buf.data(), 1, 0, 0),
+                     std::invalid_argument)
+            << backend;
     }
-    CVector buf(2, Complex{1.0, 0.0});
-    EXPECT_THROW(sim::applyPauli(buf.data(), 1, 0, 4),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::applyPauli(buf.data(), 1, 0, 0),
-                 std::invalid_argument);
 }
 
 TEST(Simd, Apply2qMatchesScalarOnAllPairs)
 {
     linalg::Rng rng(104);
-    for (std::size_t n = 2; n <= 8; ++n) {
-        const Matrix u = linalg::haarUnitary(rng, 4);
-        for (std::size_t a = 0; a < n; ++a) {
-            for (std::size_t b = 0; b < n; ++b) {
-                if (a == b)
-                    continue;
-                const CVector in = randomState(rng, n);
-                CVector viaScalar = in, viaSimd = in;
-                sim::scalar::apply2q(viaScalar.data(), n, a, b, u.data());
-                sim::apply2q(viaSimd.data(), n, a, b, u.data());
-                EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+    for (const std::string &backend : testutil::selectableBackends()) {
+        testutil::ScopedDispatch force(backend);
+        for (std::size_t n = 2; n <= 8; ++n) {
+            const Matrix u = linalg::haarUnitary(rng, 4);
+            for (std::size_t a = 0; a < n; ++a) {
+                for (std::size_t b = 0; b < n; ++b) {
+                    if (a == b)
+                        continue;
+                    const CVector in = randomState(rng, n);
+                    CVector viaScalar = in, viaSimd = in;
+                    sim::scalar::apply2q(viaScalar.data(), n, a, b,
+                                         u.data());
+                    sim::apply2q(viaSimd.data(), n, a, b, u.data());
+                    EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
+                    EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
+                        << backend << " n=" << n << " pair (" << a << ", "
+                        << b << ")";
+                }
             }
         }
     }
@@ -144,17 +166,21 @@ TEST(Simd, Apply2qDiagMatchesScalarOnAllPairs)
                           std::polar(1.0, 0.3),
                           std::polar(1.0, -0.7),
                           std::polar(1.0, 2.1)};
-    for (std::size_t n = 2; n <= 8; ++n) {
-        for (std::size_t a = 0; a < n; ++a) {
-            for (std::size_t b = 0; b < n; ++b) {
-                if (a == b)
-                    continue;
-                const CVector in = randomState(rng, n);
-                CVector viaScalar = in, viaSimd = in;
-                sim::scalar::apply2qDiag(viaScalar.data(), n, a, b, d);
-                sim::apply2qDiag(viaSimd.data(), n, a, b, d);
-                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+    for (const std::string &backend : testutil::selectableBackends()) {
+        testutil::ScopedDispatch force(backend);
+        for (std::size_t n = 2; n <= 8; ++n) {
+            for (std::size_t a = 0; a < n; ++a) {
+                for (std::size_t b = 0; b < n; ++b) {
+                    if (a == b)
+                        continue;
+                    const CVector in = randomState(rng, n);
+                    CVector viaScalar = in, viaSimd = in;
+                    sim::scalar::apply2qDiag(viaScalar.data(), n, a, b, d);
+                    sim::apply2qDiag(viaSimd.data(), n, a, b, d);
+                    EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
+                        << backend << " n=" << n << " pair (" << a << ", "
+                        << b << ")";
+                }
             }
         }
     }
@@ -164,8 +190,10 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
 {
     // Any partition of the group index space — including boundaries
     // that are not SIMD- or cache-aligned — must reassemble the full
-    // sweep bit for bit, for both the dispatching and the scalar
-    // reference range kernels.
+    // sweep bit for bit, for every selectable backend's range kernels
+    // and for the scalar reference range kernels. The full sweep is
+    // the independent sim::scalar full-sweep reference: the public
+    // full-sweep wrappers are themselves range calls over [0, groups).
     linalg::Rng rng(107);
     const Matrix u2 = linalg::haarUnitary(rng, 2);
     const Complex m2[4] = {u2(0, 0), u2(0, 1), u2(1, 0), u2(1, 1)};
@@ -184,60 +212,83 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
         return cuts;
     };
 
-    for (std::size_t n = 4; n <= 9; ++n) {
-        const std::size_t pairs = (std::size_t{1} << n) / 2;
-        const std::size_t quads = (std::size_t{1} << n) / 4;
-        for (std::size_t q = 0; q < n; ++q) {
-            const CVector in = randomState(rng, n);
-            CVector full = in, ranged = in, scalarRanged = in;
-            sim::apply1q(full.data(), n, q, m2);
-            const auto cuts = partitionPoints(pairs);
-            for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-                sim::apply1qRange(ranged.data(), n, q, m2, cuts[c],
-                                  cuts[c + 1]);
-                sim::scalar::apply1qRange(scalarRanged.data(), n, q, m2,
-                                          cuts[c], cuts[c + 1]);
-            }
-            EXPECT_TRUE(bitIdentical(ranged, full)) << "n=" << n
-                                                    << " q=" << q;
-            EXPECT_TRUE(bitIdentical(scalarRanged, full))
-                << "n=" << n << " q=" << q;
-
-            CVector diagFull = in, diagRanged = in;
-            sim::apply1qDiag(diagFull.data(), n, q, rz(0, 0), rz(1, 1));
-            for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
-                sim::apply1qDiagRange(diagRanged.data(), n, q, rz(0, 0),
-                                      rz(1, 1), cuts[c], cuts[c + 1]);
-            EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
-                << "n=" << n << " q=" << q;
-        }
-        for (std::size_t a = 0; a < n; ++a) {
-            for (std::size_t b = 0; b < n; ++b) {
-                if (a == b)
-                    continue;
+    for (const std::string &backend : testutil::selectableBackends()) {
+        testutil::ScopedDispatch force(backend);
+        for (std::size_t n = 4; n <= 9; ++n) {
+            const std::size_t pairs = (std::size_t{1} << n) / 2;
+            const std::size_t quads = (std::size_t{1} << n) / 4;
+            for (std::size_t q = 0; q < n; ++q) {
                 const CVector in = randomState(rng, n);
                 CVector full = in, ranged = in, scalarRanged = in;
-                sim::apply2q(full.data(), n, a, b, u4.data());
-                const auto cuts = partitionPoints(quads);
+                sim::scalar::apply1q(full.data(), n, q, m2);
+                const auto cuts = partitionPoints(pairs);
                 for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-                    sim::apply2qRange(ranged.data(), n, a, b, u4.data(),
-                                      cuts[c], cuts[c + 1]);
-                    sim::scalar::apply2qRange(scalarRanged.data(), n, a, b,
-                                              u4.data(), cuts[c],
-                                              cuts[c + 1]);
+                    sim::apply1qRange(ranged.data(), n, q, m2, cuts[c],
+                                      cuts[c + 1]);
+                    sim::scalar::apply1qRange(scalarRanged.data(), n, q,
+                                              m2, cuts[c], cuts[c + 1]);
                 }
                 EXPECT_TRUE(bitIdentical(ranged, full))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+                    << backend << " n=" << n << " q=" << q;
                 EXPECT_TRUE(bitIdentical(scalarRanged, full))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+                    << backend << " n=" << n << " q=" << q;
 
-                CVector diagFull = in, diagRanged = in;
-                sim::apply2qDiag(diagFull.data(), n, a, b, d4);
-                for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
-                    sim::apply2qDiagRange(diagRanged.data(), n, a, b, d4,
-                                          cuts[c], cuts[c + 1]);
+                CVector diagFull = in, diagRanged = in,
+                        diagScalarRanged = in;
+                sim::scalar::apply1qDiag(diagFull.data(), n, q, rz(0, 0),
+                                         rz(1, 1));
+                for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+                    sim::apply1qDiagRange(diagRanged.data(), n, q,
+                                          rz(0, 0), rz(1, 1), cuts[c],
+                                          cuts[c + 1]);
+                    sim::scalar::apply1qDiagRange(
+                        diagScalarRanged.data(), n, q, rz(0, 0), rz(1, 1),
+                        cuts[c], cuts[c + 1]);
+                }
                 EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+                    << backend << " n=" << n << " q=" << q;
+                EXPECT_TRUE(bitIdentical(diagScalarRanged, diagFull))
+                    << backend << " n=" << n << " q=" << q;
+            }
+            for (std::size_t a = 0; a < n; ++a) {
+                for (std::size_t b = 0; b < n; ++b) {
+                    if (a == b)
+                        continue;
+                    const CVector in = randomState(rng, n);
+                    CVector full = in, ranged = in, scalarRanged = in;
+                    sim::scalar::apply2q(full.data(), n, a, b, u4.data());
+                    const auto cuts = partitionPoints(quads);
+                    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+                        sim::apply2qRange(ranged.data(), n, a, b,
+                                          u4.data(), cuts[c], cuts[c + 1]);
+                        sim::scalar::apply2qRange(scalarRanged.data(), n, a,
+                                                  b, u4.data(), cuts[c],
+                                                  cuts[c + 1]);
+                    }
+                    EXPECT_TRUE(bitIdentical(ranged, full))
+                        << backend << " n=" << n << " pair (" << a << ", "
+                        << b << ")";
+                    EXPECT_TRUE(bitIdentical(scalarRanged, full))
+                        << backend << " n=" << n << " pair (" << a << ", "
+                        << b << ")";
+
+                    CVector diagFull = in, diagRanged = in,
+                            diagScalarRanged = in;
+                    sim::scalar::apply2qDiag(diagFull.data(), n, a, b, d4);
+                    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+                        sim::apply2qDiagRange(diagRanged.data(), n, a, b,
+                                              d4, cuts[c], cuts[c + 1]);
+                        sim::scalar::apply2qDiagRange(
+                            diagScalarRanged.data(), n, a, b, d4, cuts[c],
+                            cuts[c + 1]);
+                    }
+                    EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
+                        << backend << " n=" << n << " pair (" << a << ", "
+                        << b << ")";
+                    EXPECT_TRUE(bitIdentical(diagScalarRanged, diagFull))
+                        << backend << " n=" << n << " pair (" << a << ", "
+                        << b << ")";
+                }
             }
         }
     }
