@@ -1,19 +1,20 @@
 /**
  * @file
- * Unified benchmark runner: wraps the library's nine benchmark
+ * Unified benchmark runner: wraps the library's ten benchmark
  * families — kernel microbenchmarks (micro), state-parallel sweep
  * scaling (sweep), SoA trajectory batching (batch), cache-blocked plan
  * execution (blocked), sharded statevector execution (shard),
  * transpiler batch throughput (transpile), the Figure-7 quantum-volume
- * harness (fig7), the tracing-overhead A/B (obs), and the runtime ISA
- * dispatch sweep (dispatch) — behind one dependency-free CLI and emits
+ * harness (fig7), the tracing-overhead A/B (obs), the runtime ISA
+ * dispatch sweep (dispatch), and AshN synthesis over the chamber sweep
+ * (synth) — behind one dependency-free CLI and emits
  * schema-versioned BENCH_<name>.json reports (see report.hh for the
  * schema). CI runs `bench_runner --smoke` on every Release build and
  * uploads the JSON as an artifact, so the performance trajectory is
  * machine-readable per commit.
  *
  *   bench_runner [micro|sweep|batch|blocked|shard|transpile|fig7|obs
- *                 |dispatch|all ...]
+ *                 |dispatch|synth|all ...]
  *                [--scenario FAMILY] [--smoke] [--out-dir DIR]
  *                [--trace PATH] [--list]
  *
@@ -28,7 +29,9 @@
  * dispatch family forces every compiled+host-supported kernel backend
  * in turn (sim::setDispatchOverride — the same binary carries them
  * all) and records per-backend ns/op plus the <1% dispatch-indirection
- * contract; the runtime-resolved SIMD backend, its lane width, and the
+ * contract; the synth family records synthesis failures, the worst
+ * chamber distance, per-call latency and EA residual evaluations per
+ * call; the runtime-resolved SIMD backend, its lane width, and the
  * full compiled-backend list are stamped into every report.
  *
  * --trace PATH records every selected family under an obs
@@ -47,7 +50,9 @@
 #include <thread>
 #include <vector>
 
+#include "../tests/chamber_sweep.hh" // shared synthesis sweep points
 #include "../tests/sim_test_util.hh" // shared randomState fixture
+#include "ashn/scheme.hh"
 #include "circuit/circuit.hh"
 #include "device/device.hh"
 #include "linalg/random.hh"
@@ -63,6 +68,7 @@
 #include "sim/shard.hh"
 #include "sim/transport.hh"
 #include "transpile/transpile.hh"
+#include "weyl/weyl.hh"
 
 using namespace crisc;
 using linalg::Complex;
@@ -83,6 +89,7 @@ struct Options
     bool fig7 = true;
     bool obs = true;
     bool dispatch = true;
+    bool synth = true;
     bool smoke = false;
     std::string outDir = ".";
     std::string trace; ///< Chrome-trace output path; empty = no tracing.
@@ -1029,6 +1036,100 @@ runDispatch(const Options &opt)
     return rep;
 }
 
+/** Per-call statistics of ashn::synthesize over one point set. */
+bench::Scenario
+synthScenario(const std::string &name,
+              const std::vector<weyl::WeylPoint> &points,
+              const std::vector<double> &ratios)
+{
+    const obs::Counter &evals = obs::counter("ashn.residual_evals");
+    const std::uint64_t evals0 = evals.value();
+    std::vector<double> ms;
+    std::size_t failures = 0;
+    double maxDistance = 0.0;
+    for (const double h : ratios)
+        for (const weyl::WeylPoint &p : points) {
+            const auto t0 = std::chrono::steady_clock::now();
+            try {
+                const ashn::GateParams g = ashn::synthesize(p, h, 0.0);
+                ms.push_back(std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+                maxDistance = std::max(
+                    maxDistance,
+                    weyl::chamberDistance(
+                        weyl::weylCoordinates(ashn::realize(g)), p));
+            } catch (const std::runtime_error &e) {
+                ++failures;
+                std::printf("  FAILED h=%g (%.17g, %.17g, %.17g): %s\n", h,
+                            p.x, p.y, p.z, e.what());
+            }
+        }
+    const double calls = static_cast<double>(points.size() * ratios.size());
+    std::sort(ms.begin(), ms.end());
+    const auto pct = [&](double q) {
+        return ms.empty() ? 0.0
+                          : ms[static_cast<std::size_t>(
+                                q * static_cast<double>(ms.size() - 1))];
+    };
+    bench::Scenario sc;
+    sc.name = name;
+    sc.params = {{"points", static_cast<double>(points.size())},
+                 {"zz_ratios", static_cast<double>(ratios.size())}};
+    sc.metrics = {{"synth_failures", static_cast<double>(failures), "count"},
+                  {"max_chamber_distance", maxDistance, "rad"},
+                  {"ms_p50", pct(0.5), "ms"},
+                  {"ms_p99", pct(0.99), "ms"},
+                  {"ms_max", ms.empty() ? 0.0 : ms.back(), "ms"}};
+    if (obs::compiledIn())
+        sc.metrics.push_back(
+            {"residual_evals_per_call",
+             static_cast<double>(evals.value() - evals0) / calls, "count"});
+    std::printf("  %-22s %zu failures, max dist %.3g, p50 %.3f ms, p99 %.3f "
+                "ms, max %.3f ms\n",
+                name.c_str(), failures, maxDistance, pct(0.5), pct(0.99),
+                ms.empty() ? 0.0 : ms.back());
+    return sc;
+}
+
+/**
+ * AshN synthesis over the deterministic chamber sweep (every ZZ ratio
+ * of the slow sweep test) and over Haar-random classes at h = 0.1, the
+ * transpile_haar setting: failures, worst chamber distance, per-call
+ * latency and EA residual evaluations per call. Residual evaluations
+ * are read from the obs counter, so the family traces itself when
+ * --trace is not given.
+ */
+bench::Report
+runSynth(const Options &opt)
+{
+    std::printf("== synth (AshN synthesis) ==\n");
+    bench::Report rep = reportSkeleton("synth", opt.smoke);
+    obs::TraceSession session;
+    if (!obs::enabled())
+        session.start();
+
+    std::vector<weyl::WeylPoint> sweep = testutil::chamberSweepPoints();
+    std::vector<double> ratios = testutil::kSweepZZRatios;
+    if (opt.smoke) {
+        std::vector<weyl::WeylPoint> every8th;
+        for (std::size_t i = 0; i < sweep.size(); i += 8)
+            every8th.push_back(sweep[i]);
+        sweep = std::move(every8th);
+        ratios = {0.1};
+    }
+    rep.scenarios.push_back(synthScenario("chamber_sweep", sweep, ratios));
+
+    linalg::Rng rng(20240427);
+    std::vector<weyl::WeylPoint> haar(opt.smoke ? 50 : 2000);
+    for (weyl::WeylPoint &p : haar)
+        p = weyl::weylCoordinates(linalg::haarSU(rng, 4));
+    rep.scenarios.push_back(synthScenario("haar/h=0.1", haar, {0.1}));
+
+    session.stop();
+    return rep;
+}
+
 /** One row of the --list table; kept in sync with selectFamily. */
 struct FamilyInfo
 {
@@ -1056,6 +1157,8 @@ constexpr FamilyInfo kFamilies[] = {
      "tracing-overhead A/B of the instrumented kernel paths"},
     {"dispatch", "BENCH_dispatch_backends.json",
      "every compiled kernel backend forced in turn on one binary"},
+    {"synth", "BENCH_synth.json",
+     "AshN synthesis over the chamber sweep and Haar classes"},
 };
 
 int
@@ -1075,7 +1178,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [micro|sweep|batch|blocked|shard|transpile|fig7|\n"
-        "           obs|dispatch|all ...]\n"
+        "           obs|dispatch|synth|all ...]\n"
         "          [--smoke] [--scenario FAMILY] [--out-dir DIR]\n"
         "          [--trace PATH] [--list]\n"
         "\n"
@@ -1103,7 +1206,8 @@ main(int argc, char **argv)
     const auto selectFamily = [&](const std::string &s) {
         if (!scenarioChosen) {
             opt.micro = opt.sweep = opt.batch = opt.blocked = opt.shard =
-                opt.transpile = opt.fig7 = opt.obs = opt.dispatch = false;
+                opt.transpile = opt.fig7 = opt.obs = opt.dispatch =
+                    opt.synth = false;
             scenarioChosen = true;
         }
         if (s == "micro")
@@ -1124,9 +1228,12 @@ main(int argc, char **argv)
             opt.obs = true;
         else if (s == "dispatch")
             opt.dispatch = true;
+        else if (s == "synth")
+            opt.synth = true;
         else if (s == "all")
             opt.micro = opt.sweep = opt.batch = opt.blocked = opt.shard =
-                opt.transpile = opt.fig7 = opt.obs = opt.dispatch = true;
+                opt.transpile = opt.fig7 = opt.obs = opt.dispatch =
+                    opt.synth = true;
         else
             return false;
         return true;
@@ -1231,6 +1338,8 @@ main(int argc, char **argv)
         runFamily(runObsOverhead);
     if (opt.dispatch)
         runFamily(runDispatch);
+    if (opt.synth)
+        runFamily(runSynth);
 
     if (tracing) {
         obs::writeChromeTrace(combined, opt.trace);

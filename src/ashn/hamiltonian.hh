@@ -39,6 +39,23 @@ Matrix evolve(double tau, double h, double omega1, double omega2,
               double delta);
 
 /**
+ * The triplet part of tr(evolve(tau, h, omega, 0, delta) YY), computed
+ * on a real 3x3 block (paper App. A.5). With Omega2 = 0 the Hamiltonian
+ * commutes with SWAP: the singlet (|01>-|10>)/sqrt2 has energy -1-h/2
+ * and contributes -e^{i(1+h/2) tau} to the trace. In the basis
+ * {(|00>+|11>)/sqrt2, (|01>+|10>)/sqrt2, (|00>-|11>)/sqrt2} the triplet
+ * block is
+ *   H_T = h/2 I + [[0, 2 omega, 2 delta], [2 omega, 1-h, 0],
+ *                  [2 delta, 0, 0]]
+ * and YY = diag(-1, 1, 1), so the result is
+ *   sum_k (1 - 2 v_0k^2) e^{-i lambda_k tau}
+ * over the eigenpairs (lambda_k, v_k) of H_T. About 12x cheaper than
+ * forming the 4x4 propagator.
+ */
+linalg::Complex tripletTraceYY(double tau, double h, double omega,
+                               double delta);
+
+/**
  * Drive amplitudes of Eq. (4.2): A1 = -2(Omega1 + Omega2) and
  * A2 = -2(Omega1 - Omega2).
  */

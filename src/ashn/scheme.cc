@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "qop/gates.hh"
 #include "weyl/optimal_time.hh"
 
@@ -16,7 +17,6 @@ namespace ashn {
 
 using linalg::Complex;
 using weyl::canonicalizePoint;
-using weyl::pointDistance;
 using weyl::weylCoordinates;
 
 namespace {
@@ -43,13 +43,75 @@ invSinc(double v)
     return 0.5 * (lo + hi);
 }
 
+/** Largest chamber distance at which a realized gate counts as the
+ *  target class. */
+constexpr double kVerifyTol = 1e-5;
+
+/** Chamber distance between the gate @p p realizes and @p target. */
+double
+realizedDistance(const GateParams &p, const WeylPoint &target)
+{
+    return weyl::chamberDistance(weylCoordinates(realize(p)), target);
+}
+
 /** Whether the realized gate lands on the canonical target point. */
 bool
-verified(const GateParams &p, const WeylPoint &target, double tol = 1e-5)
+verified(const GateParams &p, const WeylPoint &target)
 {
-    const WeylPoint want = canonicalizePoint(target);
-    const WeylPoint got = weylCoordinates(realize(p));
-    return pointDistance(want, got) <= tol;
+    return realizedDistance(p, target) <= kVerifyTol;
+}
+
+/** Chamber distance a polished EA root stops at. */
+constexpr double kPolishTol = 1e-10;
+/** realize + weylCoordinates evaluations one polish may spend. */
+constexpr int kPolishBudget = 160;
+
+/**
+ * Near a degenerate spectrum (the SWAP corner) the trace residual is
+ * flat to second order, so a root accepted at residual ~1e-13 realizes
+ * the target only to a few 1e-7. A compass search on the chamber
+ * distance itself, over the two drives @p a and @p b the sub-scheme
+ * sets, brings such a root to kPolishTol within a fixed budget.
+ * @p dist is the distance of @p p on entry.
+ */
+GateParams
+polishRoot(GateParams p, double GateParams::*a, double GateParams::*b,
+           const WeylPoint &target, double dist)
+{
+    double step = dist;
+    for (int n = 0; n < kPolishBudget && dist > kPolishTol && step > 1e-16;) {
+        bool improved = false;
+        for (const auto &[field, sign] :
+             {std::pair{a, 1.0}, {a, -1.0}, {b, 1.0}, {b, -1.0}}) {
+            GateParams q = p;
+            q.*field += sign * step;
+            const double d = realizedDistance(q, target);
+            ++n;
+            if (d < dist) {
+                p = q;
+                dist = d;
+                improved = true;
+                break;
+            }
+        }
+        if (!improved)
+            step *= 0.5;
+    }
+    return p;
+}
+
+/**
+ * @p p, polished, when it realizes @p target; nullopt otherwise. @p a
+ * and @p b are the two drives the sub-scheme sets.
+ */
+std::optional<GateParams>
+acceptRoot(const GateParams &p, double GateParams::*a,
+           double GateParams::*b, const WeylPoint &target)
+{
+    const double dist = realizedDistance(p, target);
+    if (dist > kVerifyTol)
+        return std::nullopt;
+    return polishRoot(p, a, b, target, dist);
 }
 
 [[noreturn]] void
@@ -84,6 +146,109 @@ solveNDDrive(double v, double t, double tau)
 }
 
 /**
+ * The residual of the symmetric-slot equal-amplitude problem: the
+ * triplet part of tr(U YY) (tripletTraceYY) minus its target. The
+ * singlet term of the trace is constant and cancels against the
+ * target's first spectral element, so it is never formed.
+ */
+class TripletResidual
+{
+  public:
+    TripletResidual(double tau, double h, Complex target)
+        : tau_(tau), h_(h), target_(target)
+    {
+    }
+
+    Complex operator()(double omega, double delta)
+    {
+        ++evals_;
+        return tripletTraceYY(tau_, h_, omega, delta) - target_;
+    }
+
+    /** Residual evaluations so far. */
+    std::size_t evals() const { return evals_; }
+
+  private:
+    double tau_, h_;
+    Complex target_;
+    std::size_t evals_ = 0;
+};
+
+/** Seed-grid intervals per axis of the EA slot search, coarse first:
+ *  the coarse grid's spacing (~0.18 at typical tau) can step over a
+ *  weak-drive root, which the finer pass then seeds. */
+constexpr int kSeedGrids[] = {32, 48};
+/** Local minima of the seed grid that Newton starts from. */
+constexpr std::size_t kMaxSeeds = 24;
+/** Residual evaluations one seed's refinement may spend; a seed that
+ *  has not reached kRootResidual by then is dropped. */
+constexpr std::size_t kRefineBudget = 400;
+/** Largest residual accepted as a root. */
+constexpr double kRootResidual = 1e-7;
+
+/**
+ * Refines a seed where Newton stalled, within kRefineBudget residual
+ * evaluations: Levenberg-Marquardt on (u, v) = (omega^2, delta^2).
+ * The residual is even in both drives, so it is smooth in their
+ * squares; Newton in (omega, delta) stalls where the Jacobian
+ * degenerates — at the triply degenerate SWAP spectrum, and along
+ * omega = 0, where the residual does not depend on delta and a root
+ * can sit a few 1e-2 away. @p omega and @p delta are updated in place;
+ * returns the residual there.
+ */
+Complex
+refineRoot(TripletResidual &residual, double &omega, double &delta)
+{
+    const std::size_t stop = residual.evals() + kRefineBudget;
+    const auto at = [&](double u, double v) {
+        return residual(std::sqrt(u), std::sqrt(v));
+    };
+    double u = omega * omega, v = delta * delta;
+    Complex f = at(u, v);
+    double lambda = 1e-3;
+    while (std::abs(f) > 1e-12 && residual.evals() + 3 <= stop) {
+        constexpr double eps = 1e-7;
+        const Complex fu = (at(u + eps, v) - f) / eps;
+        const Complex fv = (at(u, v + eps) - f) / eps;
+        // Normal equations (J^T J + lambda diag J^T J) step = -J^T f; the
+        // floor keeps a direction the residual ignores (delta on the
+        // omega = 0 line) from making the system singular.
+        const double auu = std::norm(fu), avv = std::norm(fv);
+        const double auv = (std::conj(fu) * fv).real();
+        const double gu = (std::conj(fu) * f).real();
+        const double gv = (std::conj(fv) * f).real();
+        const double floor = 1e-30 * (auu + avv);
+        bool improved = false;
+        while (lambda < 1e12 && residual.evals() < stop) {
+            const double muu = auu * (1.0 + lambda) + floor;
+            const double mvv = avv * (1.0 + lambda) + floor;
+            const double det = muu * mvv - auv * auv;
+            if (!(det > 0.0))
+                break;
+            const double nu =
+                std::max(u + (-gu * mvv + gv * auv) / det, 0.0);
+            const double nv =
+                std::max(v + (-gv * muu + gu * auv) / det, 0.0);
+            const Complex fn = at(nu, nv);
+            if (std::abs(fn) < std::abs(f)) {
+                u = nu;
+                v = nv;
+                f = fn;
+                lambda = std::max(lambda / 10.0, 1e-12);
+                improved = true;
+                break;
+            }
+            lambda *= 10.0;
+        }
+        if (!improved)
+            break;
+    }
+    omega = std::sqrt(u);
+    delta = std::sqrt(v);
+    return f;
+}
+
+/**
  * Solves the symmetric-slot equal-amplitude problem for the spectrum
  * representative (a, b, c): find (omega, delta) such that
  * U(tau; h; omega, 0, delta) with tau = 2(a+b+c)/(2+h) has the spectrum
@@ -94,13 +259,17 @@ solveNDDrive(double v, double t, double tau)
  * The realized gate canonicalizes to (a, b, -c) in this library's
  * coordinate convention.
  *
- * @return candidate {tau, omega, delta} triples, best residual first.
+ * Newton starts from the local minima of |residual| on a
+ * (grid+1) x (grid+1) grid over [0, 2(pi/tau + 1)]^2; refineRoot
+ * finishes seeds where Newton stalls.
+ *
+ * @return candidate {tau, omega, delta} triples, weakest drive first.
  * Near spectral degeneracies the coordinate error grows like the square
  * root of the trace residual, so callers must verify each candidate
  * against the target instead of trusting the first root.
  */
 std::vector<std::array<double, 3>>
-solveEASymmetricSlot(double a, double b, double c, double h)
+solveEASymmetricSlot(double a, double b, double c, double h, int grid)
 {
     const double tau = 2.0 * (a + b + c) / (2.0 + h);
     if (tau <= kTiny)
@@ -109,24 +278,20 @@ solveEASymmetricSlot(double a, double b, double c, double h)
     const Complex tTarget = std::polar(1.0, a - b - c) -
                             std::polar(1.0, -a + b - c) +
                             std::polar(1.0, -a - b + c);
-    const Complex constTerm =
-        std::polar(1.0, (2.0 + h) * tau / 2.0) - tTarget;
-    auto residual = [&](double om, double d) {
-        const Matrix u = evolve(tau, h, std::abs(om), 0.0, std::abs(d));
-        return (u * qop::pauliYY()).trace() + constTerm;
-    };
+    TripletResidual residual(tau, h, tTarget);
 
     // Seed Newton from every local minimum of |residual| on a coarse
     // grid (the landscape has several basins; the global grid minimum
     // alone can sit in a rootless one).
     const double bound = 2.0 * (kPi / tau + 1.0);
-    const int grid = 32;
-    std::vector<std::vector<double>> err(grid + 1,
-                                         std::vector<double>(grid + 1));
+    const int side = grid + 1;
+    std::vector<double> err(static_cast<std::size_t>(side * side));
+    const auto at = [&](int i, int j) -> double & {
+        return err[static_cast<std::size_t>(i * side + j)];
+    };
     for (int i = 0; i <= grid; ++i)
         for (int j = 0; j <= grid; ++j)
-            err[i][j] =
-                std::abs(residual(bound * i / grid, bound * j / grid));
+            at(i, j) = std::abs(residual(bound * i / grid, bound * j / grid));
     struct Seed
     {
         double om, d, e;
@@ -140,20 +305,19 @@ solveEASymmetricSlot(double a, double b, double c, double h)
                     const int ni = i + di, nj = j + dj;
                     if (ni < 0 || nj < 0 || ni > grid || nj > grid)
                         continue;
-                    if (err[ni][nj] < err[i][j]) {
+                    if (at(ni, nj) < at(i, j)) {
                         isMin = false;
                         break;
                     }
                 }
             if (isMin)
-                seeds.push_back(
-                    {bound * i / grid, bound * j / grid, err[i][j]});
+                seeds.push_back({bound * i / grid, bound * j / grid, at(i, j)});
         }
     }
     std::sort(seeds.begin(), seeds.end(),
               [](const Seed &x, const Seed &y) { return x.e < y.e; });
-    if (seeds.size() > 24)
-        seeds.resize(24);
+    if (seeds.size() > kMaxSeeds)
+        seeds.resize(kMaxSeeds);
 
     struct Root
     {
@@ -190,36 +354,12 @@ solveEASymmetricSlot(double a, double b, double c, double h)
                 break;
             f = residual(om, d);
         }
-        if (std::abs(f) > 1e-9 && std::abs(f) < 1e-2) {
-            // Newton stalls where the Jacobian degenerates (e.g. the
-            // triply degenerate SWAP spectrum); finish with a compass
-            // pattern search on |residual|.
-            double step = 0.05;
-            double e = std::abs(f);
-            while (step > 1e-12 && e > 1e-10) {
-                bool improved = false;
-                const double moves[4][2] = {
-                    {step, 0.0}, {-step, 0.0}, {0.0, step}, {0.0, -step}};
-                for (const auto &mv : moves) {
-                    const double no = std::abs(om + mv[0]);
-                    const double nd = std::abs(d + mv[1]);
-                    const double ne = std::abs(residual(no, nd));
-                    if (ne < e) {
-                        om = no;
-                        d = nd;
-                        e = ne;
-                        improved = true;
-                        break;
-                    }
-                }
-                if (!improved)
-                    step *= 0.5;
-            }
-            f = residual(om, d);
-        }
-        if (std::abs(f) <= 1e-7)
+        if (std::abs(f) > 1e-9 && std::abs(f) < 1e-2)
+            f = refineRoot(residual, om, d);
+        if (std::abs(f) <= kRootResidual)
             found.push_back({std::abs(f), om, d});
     }
+    OBS_COUNT("ashn.residual_evals", residual.evals());
     // Several distinct roots can realize the same chamber point; prefer
     // the weakest drives (the bounds of Eq. 4.4 and Table 1 refer to the
     // minimal solution).
@@ -231,6 +371,27 @@ solveEASymmetricSlot(double a, double b, double c, double h)
     for (const Root &r : found)
         out.push_back({tau, r.om, r.d});
     return out;
+}
+
+/**
+ * Runs the symmetric-slot search for (a, b, c) under ZZ ratio @p slotH
+ * on each seed grid of kSeedGrids in turn and returns the first
+ * candidate @p accept turns into verified parameters for ratio @p h
+ * (the Identity for a zero-time target).
+ */
+template <typename Accept>
+std::optional<GateParams>
+searchEASlot(double a, double b, double c, double slotH, double h,
+             Accept accept)
+{
+    for (const int grid : kSeedGrids)
+        for (const auto &sol : solveEASymmetricSlot(a, b, c, slotH, grid)) {
+            if (sol[0] <= kTiny)
+                return GateParams{SubScheme::Identity, 0, 0, 0, 0, h};
+            if (auto p = accept(sol))
+                return p;
+        }
+    return std::nullopt;
 }
 
 /** The three sub-scheme times of one dispatch branch (Algorithm 1). */
@@ -331,16 +492,17 @@ synthesizeEAPlus(const WeylPoint &target, double h)
 {
     // The symmetric slot realizes the z-negated spectrum representative,
     // so solve for (x, y, -z); tau = 2(x+y-z)/(2+h).
-    for (const auto &sol :
-         solveEASymmetricSlot(target.x, target.y, -target.z, h)) {
-        if (sol[0] <= kTiny)
-            return GateParams{SubScheme::Identity, 0, 0, 0, 0, h};
-        const GateParams p{SubScheme::EAPlus, sol[0], sol[1], 0.0, sol[2],
-                           h};
-        if (verified(p, target))
-            return p;
-    }
-    failSynthesis("AshN-EA+", target, h);
+    const auto p = searchEASlot(
+        target.x, target.y, -target.z, h, h,
+        [&](const std::array<double, 3> &sol) {
+            return acceptRoot({SubScheme::EAPlus, sol[0], sol[1], 0.0,
+                               sol[2], h},
+                              &GateParams::omega1, &GateParams::delta,
+                              target);
+        });
+    if (!p)
+        failSynthesis("AshN-EA+", target, h);
+    return *p;
 }
 
 GateParams
@@ -349,18 +511,20 @@ synthesizeEAMinus(const WeylPoint &target, double h)
     // Corollary 9 duality: conjugating by (Z x I) and reversing time
     // maps the antisymmetric slot under h to the symmetric slot under
     // -h with the z-negation undone; tau = 2(x+y+z)/(2-h).
-    for (const auto &sol :
-         solveEASymmetricSlot(target.x, target.y, target.z, -h)) {
-        if (sol[0] <= kTiny)
-            return GateParams{SubScheme::Identity, 0, 0, 0, 0, h};
-        for (const double dsign : {-1.0, 1.0}) {
-            const GateParams p{SubScheme::EAMinus, sol[0], 0.0, sol[1],
-                               dsign * sol[2], h};
-            if (verified(p, target))
-                return p;
-        }
-    }
-    failSynthesis("AshN-EA-", target, h);
+    const auto p = searchEASlot(
+        target.x, target.y, target.z, -h, h,
+        [&](const std::array<double, 3> &sol) -> std::optional<GateParams> {
+            for (const double dsign : {-1.0, 1.0})
+                if (auto q = acceptRoot({SubScheme::EAMinus, sol[0], 0.0,
+                                         sol[1], dsign * sol[2], h},
+                                        &GateParams::omega2,
+                                        &GateParams::delta, target))
+                    return q;
+            return std::nullopt;
+        });
+    if (!p)
+        failSynthesis("AshN-EA-", target, h);
+    return *p;
 }
 
 double
@@ -409,16 +573,21 @@ synthesize(const WeylPoint &target, double h, double r)
     std::string errors;
     for (SubScheme s : order) {
         try {
+            GateParams got;
             switch (s) {
               case SubScheme::ND:
-                return synthesizeND(work, h);
+                got = synthesizeND(work, h);
+                break;
               case SubScheme::EAPlus:
-                return synthesizeEAPlus(work, h);
-              case SubScheme::EAMinus:
-                return synthesizeEAMinus(work, h);
+                got = synthesizeEAPlus(work, h);
+                break;
               default:
+                got = synthesizeEAMinus(work, h);
                 break;
             }
+            if (s != order.front())
+                OBS_COUNT("ashn.subscheme_fallbacks", 1);
+            return got;
         } catch (const std::runtime_error &e) {
             errors += std::string(e.what()) + "; ";
         }

@@ -33,7 +33,7 @@ nativeKindName(NativeKind k)
 
 // ----------------------------------------------------------------- AshN
 
-AshNGateSet::AshNGateSet(double h, double r) : h_(h), r_(r)
+AshNGateSet::AshNGateSet(double h, double r) : h_(h), r_(r), cache_(h, r)
 {
     if (std::abs(h) > 1.0)
         throw std::invalid_argument(
@@ -55,7 +55,7 @@ Lowered2q
 AshNGateSet::lower(const Matrix &u) const
 {
     const WeylPoint p = weyl::weylCoordinates(u);
-    const WeylCache::Entry e = cache_.lookup(p, h_, r_);
+    const WeylCache::Entry e = cache_.lookup(p);
     const synth::AshnCompiled ac = synth::compileToAshn(u, e.params, e.pulse);
     Lowered2q out;
     out.ops.add(ac.r1, {0}, "pre");

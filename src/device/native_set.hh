@@ -105,8 +105,8 @@ class NativeGateSet
 /**
  * The AshN pulse set: every SU(4) is one pulse (plus single-qubit
  * corrections), with gate time given by the scheme under ZZ ratio h and
- * drive cutoff r. Weyl synthesis results are memoized in a thread-safe
- * cache shared by everyone holding this instance.
+ * drive cutoff r. Weyl synthesis results are memoized in a thread-safe,
+ * bounded cache (WeylCache) shared by everyone holding this instance.
  */
 class AshNGateSet final : public NativeGateSet
 {

@@ -1,7 +1,10 @@
 #include "weyl_cache.hh"
 
+#include <array>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 
 #include "obs/obs.hh"
@@ -9,57 +12,184 @@
 namespace crisc {
 namespace device {
 
-std::size_t
-WeylCache::KeyHash::operator()(const Key &k) const
+namespace {
+
+/** splitmix64 finalizer over the three coordinate bit patterns. */
+std::uint64_t
+keyHash(double x, double y, double z)
 {
-    std::size_t seed = std::hash<double>{}(k.x);
-    for (const double v : {k.y, k.z, k.h, k.r})
-        seed = detail::hashCombine(seed, v);
-    return seed;
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    std::uint64_t k = bits(x);
+    k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL + bits(y);
+    k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL + bits(z);
+    k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
+    return k ^ (k >> 31);
+}
+
+using Drive = double ashn::GateParams::*;
+
+/**
+ * The two drive fields sub-scheme @p s can set. The third is always
+ * +0.0: ND and ND-EXT run without detuning, EA+ drives only the
+ * symmetric slot (Omega2 = 0) and EA- only the antisymmetric one
+ * (Omega1 = 0); the Identity sets none.
+ */
+std::array<Drive, 3>
+drivesOf(ashn::SubScheme s)
+{
+    using ashn::GateParams;
+    switch (s) {
+      case ashn::SubScheme::EAPlus:
+        return {&GateParams::omega1, &GateParams::delta,
+                &GateParams::omega2};
+      case ashn::SubScheme::EAMinus:
+        return {&GateParams::omega2, &GateParams::delta,
+                &GateParams::omega1};
+      default:
+        return {&GateParams::omega1, &GateParams::omega2,
+                &GateParams::delta};
+    }
+}
+
+/**
+ * Memory for @p n objects of T, zeroed or not. Unzeroed pages stay
+ * unmapped until written, so only the index (zeroed: 0 marks an empty
+ * slot) costs its full size up front; the entry arrays grow into
+ * their pages as entries arrive.
+ */
+template <typename T>
+T *
+allocate(std::size_t n, bool zero)
+{
+    void *p = zero ? std::calloc(n, sizeof(T)) : std::malloc(n * sizeof(T));
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return static_cast<T *>(p);
+}
+
+} // namespace
+
+WeylCache::WeylCache(double h, double r, std::size_t slots)
+    : h_(detail::normZero(h)), r_(detail::normZero(r)), slots_(slots)
+{
+    // A NaN h or r would poison every synthesis this cache runs; fail
+    // at construction instead of on the first lookup.
+    if (!std::isfinite(h) || !std::isfinite(r))
+        throw std::invalid_argument(
+            "WeylCache: non-finite ZZ ratio or drive cutoff");
+    if (slots < 8 || !std::has_single_bit(slots))
+        throw std::invalid_argument(
+            "WeylCache: slot count must be a power of two >= 8");
+}
+
+std::uint32_t &
+WeylCache::probe(double x, double y, double z) const
+{
+    // Load stays <= 7/8, so an empty slot always ends the probe.
+    const std::size_t mask = slots_ - 1;
+    for (std::size_t i = keyHash(x, y, z) & mask;; i = (i + 1) & mask) {
+        std::uint32_t &slot = index_[i];
+        if (slot == 0)
+            return slot;
+        const Stored &e = entries_[slot - 1];
+        if (e.x == x && e.y == y && e.z == z)
+            return slot;
+    }
+}
+
+ashn::GateParams
+WeylCache::paramsOf(std::uint32_t entry) const
+{
+    const Stored &e = entries_[entry];
+    ashn::GateParams p;
+    p.scheme = static_cast<ashn::SubScheme>(schemes_[entry]);
+    p.tau = e.tau;
+    const auto drives = drivesOf(p.scheme);
+    p.*drives[0] = e.a;
+    p.*drives[1] = e.b;
+    p.h = h_;
+    return p;
+}
+
+void
+WeylCache::insert(std::uint32_t &slot, double x, double y, double z,
+                  const ashn::GateParams &p)
+{
+    const auto drives = drivesOf(p.scheme);
+    if (std::bit_cast<std::uint64_t>(p.*drives[2]) != 0)
+        throw std::logic_error(
+            "WeylCache: sub-scheme set a drive the cache cannot store");
+    std::uint32_t *s = &slot;
+    if (size_ == capacity()) {
+        std::memset(index_.get(), 0, slots_ * sizeof(std::uint32_t));
+        size_ = 0;
+        OBS_COUNT("weyl_cache.clears", 1);
+        s = &probe(x, y, z);
+    }
+    entries_[size_] = {x, y, z, p.tau, p.*drives[0], p.*drives[1]};
+    schemes_[size_] = static_cast<std::uint8_t>(p.scheme);
+    *s = static_cast<std::uint32_t>(++size_);
+    OBS_GAUGE("weyl_cache.entries", size_);
 }
 
 WeylCache::Entry
-WeylCache::lookup(const weyl::WeylPoint &p, double h, double r)
+WeylCache::lookup(const weyl::WeylPoint &p)
 {
-    // A NaN coordinate can never match Key::operator== (NaN != NaN),
-    // so every lookup of the same poisoned point would miss, synthesize
-    // garbage, and insert a fresh entry — unbounded growth. Fail fast
-    // instead; infinities are equally unsynthesizable.
-    for (const double v : {p.x, p.y, p.z, h, r})
+    // A NaN coordinate can never match a stored key (NaN != NaN), so
+    // every lookup of the same poisoned point would miss, synthesize
+    // garbage, and insert a fresh entry. Fail fast instead; infinities
+    // are equally unsynthesizable.
+    for (const double v : {p.x, p.y, p.z})
         if (!std::isfinite(v))
             throw std::invalid_argument(
                 "WeylCache::lookup: non-finite chamber coordinate");
-    const Key key{detail::normZero(p.x), detail::normZero(p.y),
-                  detail::normZero(p.z), detail::normZero(h),
-                  detail::normZero(r)};
+    const double x = detail::normZero(p.x), y = detail::normZero(p.y),
+                 z = detail::normZero(p.z);
+    Entry e;
+    bool hit = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = map_.find(key);
-        if (it != map_.end()) {
-            ++hits_;
-            OBS_COUNT("weyl_cache.hit", 1);
-            return it->second;
+        if (index_) {
+            const std::uint32_t slot = probe(x, y, z);
+            if (slot != 0) {
+                ++hits_;
+                OBS_COUNT("weyl_cache.hit", 1);
+                e.params = paramsOf(slot - 1);
+                hit = true;
+            }
         }
     }
+    if (hit) {
+        e.pulse = ashn::realize(e.params);
+        return e;
+    }
     // Synthesize outside the lock; a raced duplicate computes the same
-    // deterministic entry and emplace keeps whichever landed first.
-    Entry e;
+    // deterministic parameters and the first insert wins.
     {
         OBS_SPAN("weyl.synthesize");
-        e.params = ashn::synthesize(p, h, r);
+        e.params = ashn::synthesize(p, h_, r_);
         e.pulse = ashn::realize(e.params);
     }
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;
     OBS_COUNT("weyl_cache.miss", 1);
-    return map_.emplace(key, std::move(e)).first->second;
+    if (!index_) {
+        index_.reset(allocate<std::uint32_t>(slots_, true));
+        entries_.reset(allocate<Stored>(capacity(), false));
+        schemes_.reset(allocate<std::uint8_t>(capacity(), false));
+    }
+    std::uint32_t &slot = probe(x, y, z);
+    if (slot == 0)
+        insert(slot, x, y, z, e.params);
+    return e;
 }
 
 std::size_t
 WeylCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
+    return size_;
 }
 
 std::size_t

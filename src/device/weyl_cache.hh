@@ -1,26 +1,41 @@
 /**
  * @file
- * Memoized Weyl-decomposition cache: canonical chamber coordinates
- * (plus h, r) map to the synthesized AshN pulse parameters and the
- * realized 4x4 pulse unitary, so repeated gate classes (Trotter bonds,
- * CNOTs, SWAPs) pay for ashn::synthesize + realize once. Thread-safe;
+ * Memoized Weyl-decomposition cache: canonical chamber coordinates map
+ * to the synthesized AshN pulse parameters, so repeated gate classes
+ * (Trotter bonds, CNOTs, SWAPs) pay for ashn::synthesize once. The ZZ
+ * ratio h and the cutoff r are bound at construction. Thread-safe;
  * shared across a batch via the gate-set instance that owns it.
+ *
+ * Layout: entries are stored densely in insertion order, 48 bytes
+ * each — the key (the three coordinates) and the solved parameters
+ * (tau and the two drives the sub-scheme can set; the third is always
+ * zero), with the sub-scheme in a parallel byte array — behind an
+ * open-addressed (linear probing) index of 32-bit entry numbers. The
+ * 4x4 pulse is not stored: lookup() rebuilds it with ashn::realize on
+ * every call (deterministic, so bit-identical to the pulse built on the
+ * miss). The arrays are allocated at the first insert; only the index
+ * (256 KiB by default) is zeroed, the entry pages are touched as
+ * entries arrive. The cache holds at most capacity() = 7/8 of its
+ * index slots; an insert into a full cache clears it first, so memory
+ * stays bounded in long-running processes.
+ * The default 2^16 index slots hold 57,344 entries in 2.9 MiB.
  *
  * Keys use the exact coordinate bits — only bit-identical chamber
  * points share an entry, so memoization never perturbs results. Two
- * guarded edge cases: -0.0 is normalized to +0.0 in all five key
- * fields (hash and equality would otherwise disagree with ==), and
- * non-finite coordinates are rejected with std::invalid_argument (a
- * NaN key can never equal itself, so each lookup would insert a fresh
- * entry — unbounded growth instead of a loud failure).
+ * guarded edge cases: -0.0 is normalized to +0.0 in the coordinates and
+ * in h and r (equality would otherwise disagree with ==), and
+ * non-finite values are rejected with std::invalid_argument (a NaN key
+ * can never equal itself, so each lookup would insert a fresh entry).
  */
 
 #ifndef CRISC_DEVICE_WEYL_CACHE_HH
 #define CRISC_DEVICE_WEYL_CACHE_HH
 
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "ashn/scheme.hh"
 #include "linalg/matrix.hh"
@@ -56,30 +71,61 @@ class WeylCache
         linalg::Matrix pulse;  ///< ashn::realize(params).
     };
 
+    /** Index slots by default: 57,344 entries. */
+    static constexpr std::size_t kDefaultSlots = std::size_t{1} << 16;
+
     /**
-     * Returns the cached entry, synthesizing on miss.
-     * @throws std::invalid_argument if any of (x, y, z, h, r) is NaN
-     *         or infinite.
+     * @param h ZZ coupling ratio every lookup synthesizes for.
+     * @param r drive cutoff every lookup synthesizes for.
+     * @param slots index size, a power of two >= 8; holds 7/8 as many
+     *        entries.
+     * @throws std::invalid_argument if h or r is NaN or infinite, or
+     *         @p slots is not a power of two >= 8.
      */
-    Entry lookup(const weyl::WeylPoint &p, double h, double r);
+    WeylCache(double h, double r, std::size_t slots = kDefaultSlots);
+
+    /**
+     * Returns the entry for chamber point @p p, synthesizing on miss.
+     * @throws std::invalid_argument if any coordinate is NaN or
+     *         infinite.
+     */
+    Entry lookup(const weyl::WeylPoint &p);
+
+    double h() const { return h_; }
+    double r() const { return r_; }
+    /** Entries the table holds before an insert clears it. */
+    std::size_t capacity() const { return slots_ / 8 * 7; }
 
     std::size_t size() const;
     std::size_t hits() const;
     std::size_t misses() const;
 
   private:
-    struct Key
+    struct Stored
     {
-        double x, y, z, h, r;
-        bool operator==(const Key &) const = default;
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const;
+        double x, y, z;
+        double tau, a, b; ///< the sub-scheme's two free drives.
     };
 
+    struct Free
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+
+    /** The index slot holding (x, y, z), or the empty slot it would
+     *  take; a slot holds 1 + the entry number, 0 when empty. */
+    std::uint32_t &probe(double x, double y, double z) const;
+    ashn::GateParams paramsOf(std::uint32_t entry) const;
+    void insert(std::uint32_t &slot, double x, double y, double z,
+                const ashn::GateParams &p);
+
+    double h_, r_;
+    std::size_t slots_;
     mutable std::mutex mutex_;
-    std::unordered_map<Key, Entry, KeyHash> map_;
+    std::unique_ptr<std::uint32_t[], Free> index_;
+    std::unique_ptr<Stored[], Free> entries_;
+    std::unique_ptr<std::uint8_t[], Free> schemes_;
+    std::size_t size_ = 0;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
 };

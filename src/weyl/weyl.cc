@@ -1,7 +1,9 @@
 #include "weyl.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "linalg/decomp.hh"
@@ -165,15 +167,18 @@ canonicalStep(Tracked &t)
 void
 canonicalize(Tracked &t)
 {
-    std::ostringstream trace;
-    for (int iter = 0; iter < 64; ++iter) {
+    constexpr int kIters = 64, kTail = 6;
+    std::array<WeylPoint, kTail> tail;
+    for (int iter = 0; iter < kIters; ++iter) {
         if (canonicalStep(t))
             return;
-        if (iter >= 58) {
-            trace << " (" << t.eta.x << "," << t.eta.y << "," << t.eta.z
-                  << ")";
-        }
+        if (iter >= kIters - kTail)
+            tail[static_cast<std::size_t>(iter - (kIters - kTail))] = t.eta;
     }
+    // The message is built only on this failure path.
+    std::ostringstream trace;
+    for (const WeylPoint &p : tail)
+        trace << " (" << p.x << "," << p.y << "," << p.z << ")";
     throw std::runtime_error(
         "weyl: canonicalization did not converge; tail:" + trace.str());
 }
@@ -185,6 +190,15 @@ pointDistance(const WeylPoint &a, const WeylPoint &b)
 {
     return std::max({std::abs(a.x - b.x), std::abs(a.y - b.y),
                      std::abs(a.z - b.z)});
+}
+
+double
+chamberDistance(const WeylPoint &a, const WeylPoint &b)
+{
+    const WeylPoint ca = canonicalizePoint(a);
+    const WeylPoint cb = canonicalizePoint(b);
+    const WeylPoint mirror{kPi / 2.0 - cb.x, cb.y, -cb.z};
+    return std::min(pointDistance(ca, cb), pointDistance(ca, mirror));
 }
 
 bool

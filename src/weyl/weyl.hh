@@ -39,6 +39,15 @@ struct WeylPoint
 /** Distance max(|dx|, |dy|, |dz|) between chamber points. */
 double pointDistance(const WeylPoint &a, const WeylPoint &b);
 
+/**
+ * Distance between the gate classes of @p a and @p b: pointDistance of
+ * their canonical points, minimized over the mirror (pi/2 - x, y, -z)
+ * of b's, which is the same class. On the face x = pi/4 the mirror is
+ * (pi/4, y, -z), so a point realized a rounding error below x = pi/4
+ * (where canonicalization keeps z < 0) is not read as pi/2 away.
+ */
+double chamberDistance(const WeylPoint &a, const WeylPoint &b);
+
 /** @return true when p lies in the canonical chamber W (to tolerance). */
 bool isCanonical(const WeylPoint &p, double tol = 1e-9);
 

@@ -5,7 +5,10 @@
  * classes, and the free virtual-Z property.
  */
 
+#include <array>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "ashn/scheme.hh"
 #include "ashn/special.hh"
 #include "linalg/random.hh"
+#include "obs/obs.hh"
 #include "qop/gates.hh"
 #include "qop/metrics.hh"
 #include "weyl/measure.hh"
@@ -300,6 +304,104 @@ TEST(Scheme, SubSchemeNamesAreStable)
 {
     EXPECT_EQ(ashn::subSchemeName(SubScheme::ND), "AshN-ND");
     EXPECT_EQ(ashn::subSchemeName(SubScheme::EAPlus), "AshN-EA+");
+}
+
+// ------------------------------------------ EA slot solver regressions
+
+TEST(TripletTrace, MatchesTheFourByFourPropagator)
+{
+    // tr(evolve(tau, h, w, 0, d) YY) = tripletTraceYY(...) minus the
+    // singlet's e^{i(1+h/2)tau}, across random drives, the SWAP drive
+    // and the omega = 0 / delta = 0 edges.
+    linalg::Rng rng(2024);
+    const GateParams swap = ashn::synthesize(ashn::swapPoint(), 0.0, 0.0);
+    std::vector<std::array<double, 4>> cases = {
+        {swap.tau, 0.0, std::abs(swap.omega1 + swap.omega2),
+         std::abs(swap.delta)},
+        {1.3, 0.2, 0.0, 0.7},
+        {1.3, -0.4, 0.9, 0.0},
+        {2.0, 0.0, 0.0, 0.0},
+    };
+    for (int i = 0; i < 500; ++i)
+        cases.push_back({rng.uniform(0.05, 3.0), rng.uniform(-1.0, 1.0),
+                         rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)});
+    double worst = 0.0;
+    for (const auto &[tau, h, w, d] : cases) {
+        const linalg::Complex full =
+            (ashn::evolve(tau, h, w, 0.0, d) * qop::pauliYY()).trace();
+        const linalg::Complex viaTriplet =
+            ashn::tripletTraceYY(tau, h, w, d) -
+            std::polar(1.0, (1.0 + h / 2.0) * tau);
+        worst = std::max(worst, std::abs(full - viaTriplet));
+    }
+    EXPECT_LT(worst, 1e-12);
+}
+
+TEST(SchemeEA, RealizesWeakDriveRootsTheCoarseGridStepsOver)
+{
+    // Each point has an EA root at (omega, delta) ~ (1.09-1.25,
+    // 0.96-1.22) that the 33x33 seed grid steps over; the solver must
+    // re-seed on the finer grid instead of throwing "all sub-schemes
+    // failed" (6-digit values taken from Haar circuits that threw).
+    const WeylPoint points[] = {{0.720766, 0.596877, -0.495006},
+                                {0.659102, 0.585279, 0.382012},
+                                {0.60289, 0.537515, 0.369458},
+                                {0.644549, 0.575059, 0.379193},
+                                {0.652286, 0.584889, 0.384434}};
+    for (const WeylPoint &target : points) {
+        const GateParams p = ashn::synthesize(target, 0.1, 0.0);
+        EXPECT_NEAR(p.tau, weyl::optimalTime(target, 0.1), 1e-7);
+        expectRealizes(p, target);
+    }
+}
+
+TEST(SchemeEA, RefinementSpendsABoundedNumberOfResidualEvaluations)
+{
+    // At this point one seed's unbounded pattern search used to stall
+    // at |f| = 1.4e-5 after 1.27M residual evaluations (~10 s); every
+    // refinement now has a fixed budget.
+    if (!obs::compiledIn())
+        GTEST_SKIP() << "built with -DCRISC_OBS=OFF";
+    const WeylPoint target{0.5562, 0.5260, -0.4987};
+    obs::TraceSession session;
+    session.start();
+    const GateParams p = ashn::synthesize(target, 0.1, 0.0);
+    session.stop();
+    std::uint64_t evals = 0;
+    for (const obs::CounterSample &c : session.collect().counters)
+        if (c.name == std::string("ashn.residual_evals"))
+            evals = c.value;
+    EXPECT_GT(evals, 0u);
+    EXPECT_LT(evals, 20000u);
+    expectRealizes(p, target);
+}
+
+TEST(SchemeEA, AcceptsRootsRealizedJustBelowTheXEqualsPiOver4Face)
+{
+    // The realized x lands ~7e-8 below pi/4, where canonicalization
+    // keeps z < 0; (pi/4, y, z) and (pi/4, y, -z) are the same class,
+    // so the acceptance check must not read them as pi/2 apart.
+    const WeylPoint target{M_PI / 4.0, M_PI / 4.0 - 2.5e-7,
+                           M_PI / 4.0 - 1e-6};
+    for (const double h : {0.0, -0.1, -0.5}) {
+        const GateParams p = ashn::synthesize(target, h, 0.0);
+        EXPECT_NEAR(p.tau, weyl::optimalTime(target, h), 1e-7);
+        EXPECT_LE(weyl::chamberDistance(
+                      weyl::weylCoordinates(ashn::realize(p)), target),
+                  1e-5)
+            << "h=" << h;
+    }
+}
+
+TEST(SchemeEA, SwapCornerRealizedToRoundingAccuracy)
+{
+    // The trace residual is flat to second order at the triply
+    // degenerate SWAP spectrum; the polish on the chamber distance
+    // takes the corner from a few 1e-7 to below 1e-9.
+    for (const double h : {0.0, 0.1, -0.4, 0.8}) {
+        const GateParams p = ashn::synthesize(ashn::swapPoint(), h, 0.0);
+        expectRealizes(p, ashn::swapPoint(), 1e-9);
+    }
 }
 
 } // namespace

@@ -394,44 +394,100 @@ TEST(WeylCache, RejectsNonFiniteCoordinates)
     // A NaN key can never equal itself, so without the guard every
     // lookup of a poisoned point would insert a fresh entry; the cache
     // must fail fast and stay empty instead.
-    device::WeylCache cache;
+    device::WeylCache cache(0.0, 0.0);
     const double nan = std::nan("");
     const double inf = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(cache.lookup({nan, 0.1, 0.0}, 0.0, 0.0),
-                 std::invalid_argument);
-    EXPECT_THROW(cache.lookup({0.3, nan, 0.0}, 0.0, 0.0),
-                 std::invalid_argument);
-    EXPECT_THROW(cache.lookup({0.3, 0.1, nan}, 0.0, 0.0),
-                 std::invalid_argument);
-    EXPECT_THROW(cache.lookup({0.3, 0.1, 0.0}, nan, 0.0),
-                 std::invalid_argument);
-    EXPECT_THROW(cache.lookup({0.3, 0.1, 0.0}, 0.0, nan),
-                 std::invalid_argument);
-    EXPECT_THROW(cache.lookup({inf, 0.1, 0.0}, 0.0, 0.0),
-                 std::invalid_argument);
-    EXPECT_THROW(cache.lookup({0.3, 0.1, 0.0}, -inf, 0.0),
-                 std::invalid_argument);
+    EXPECT_THROW(cache.lookup({nan, 0.1, 0.0}), std::invalid_argument);
+    EXPECT_THROW(cache.lookup({0.3, nan, 0.0}), std::invalid_argument);
+    EXPECT_THROW(cache.lookup({0.3, 0.1, nan}), std::invalid_argument);
+    EXPECT_THROW(cache.lookup({inf, 0.1, 0.0}), std::invalid_argument);
+    EXPECT_THROW(cache.lookup({0.3, -inf, 0.0}), std::invalid_argument);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
-    // Repeating the poisoned lookup never grows the map.
+    // Repeating the poisoned lookup never grows the table.
     for (int i = 0; i < 4; ++i)
-        EXPECT_THROW(cache.lookup({nan, 0.1, 0.0}, 0.0, 0.0),
-                     std::invalid_argument);
+        EXPECT_THROW(cache.lookup({nan, 0.1, 0.0}), std::invalid_argument);
     EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(WeylCache, RejectsNonFiniteZZRatioAndCutoffAtConstruction)
+{
+    // h and r are bound at construction, so their NaN/inf guard moved
+    // from lookup() to the constructor (and to the gate set that owns
+    // the cache).
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(device::WeylCache(nan, 0.0), std::invalid_argument);
+    EXPECT_THROW(device::WeylCache(0.0, nan), std::invalid_argument);
+    EXPECT_THROW(device::WeylCache(-inf, 0.0), std::invalid_argument);
+    EXPECT_THROW(device::WeylCache(0.0, inf), std::invalid_argument);
+    EXPECT_THROW(device::AshNGateSet(nan, 0.0), std::invalid_argument);
+    EXPECT_THROW(device::AshNGateSet(0.0, nan), std::invalid_argument);
+    EXPECT_THROW(device::WeylCache(0.0, 0.0, 12), std::invalid_argument);
+    EXPECT_THROW(device::WeylCache(0.0, 0.0, 4), std::invalid_argument);
 }
 
 TEST(WeylCache, NegativeZeroNormalizedInEveryKeyField)
 {
-    // -0.0 == 0.0 but hashes differently; all five key fields must
-    // normalize so signed zeros share one entry.
-    device::WeylCache cache;
-    cache.lookup({0.3, 0.1, 0.0}, 0.0, 0.0);
+    // -0.0 == 0.0 but has different bits; the coordinates are
+    // normalized per lookup and h and r once at construction, so
+    // signed zeros share one entry and synthesize for +0.0.
+    device::WeylCache cache(-0.0, -0.0);
+    EXPECT_FALSE(std::signbit(cache.h()));
+    EXPECT_FALSE(std::signbit(cache.r()));
+    cache.lookup({0.3, 0.1, 0.0});
     EXPECT_EQ(cache.misses(), 1u);
-    cache.lookup({0.3, 0.1, -0.0}, -0.0, -0.0);
+    const device::WeylCache::Entry e = cache.lookup({0.3, 0.1, -0.0});
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.size(), 1u);
+    EXPECT_FALSE(std::signbit(e.params.h));
+}
+
+TEST(WeylCache, HitRebuildsTheMissPulseBitForBit)
+{
+    // Entries store parameters only; a hit rebuilds the pulse with
+    // ashn::realize, which must reproduce the miss's pulse exactly.
+    device::WeylCache cache(0.1, 0.0);
+    const weyl::WeylPoint p{0.61, 0.33, -0.12};
+    const device::WeylCache::Entry miss = cache.lookup(p);
+    const device::WeylCache::Entry hit = cache.lookup(p);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(hit.params.scheme, miss.params.scheme);
+    EXPECT_EQ(hit.params.tau, miss.params.tau);
+    EXPECT_EQ(hit.params.omega1, miss.params.omega1);
+    EXPECT_EQ(hit.params.omega2, miss.params.omega2);
+    EXPECT_EQ(hit.params.delta, miss.params.delta);
+    EXPECT_EQ(hit.params.h, miss.params.h);
+    ASSERT_EQ(hit.pulse.rows(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t j = 0; j < 4; ++j)
+            EXPECT_EQ(hit.pulse(i, j), miss.pulse(i, j));
+}
+
+TEST(WeylCache, ClearsWhenFullSoMemoryStaysBounded)
+{
+    // 16 slots hold 14 entries; the 15th distinct point clears the
+    // table first. Every lookup still counts as one hit or miss.
+    device::WeylCache cache(0.0, 0.0, 16);
+    EXPECT_EQ(cache.capacity(), 14u);
+    const auto point = [](int i) {
+        return weyl::WeylPoint{0.7 - 0.01 * i, 0.2, 0.05};
+    };
+    for (int i = 0; i < 14; ++i)
+        cache.lookup(point(i));
+    EXPECT_EQ(cache.size(), 14u);
+    cache.lookup(point(3));
+    EXPECT_EQ(cache.hits(), 1u);
+    cache.lookup(point(14));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), 15u);
+    cache.lookup(point(14));
+    cache.lookup(point(3)); // cleared: synthesized again
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.misses(), 16u);
+    EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(WeylCache, ConcurrentBatchAccountsEveryLoweringAndStaysBounded)

@@ -380,9 +380,9 @@ TEST(Obs, WeylCacheHitMissCounters)
         GTEST_SKIP() << "built with -DCRISC_OBS=OFF";
     obs::TraceSession session;
     session.start();
-    device::WeylCache cache;
-    cache.lookup({0.3, 0.1, 0.05}, 0.0, 0.0);
-    cache.lookup({0.3, 0.1, 0.05}, 0.0, 0.0);
+    device::WeylCache cache(0.0, 0.0);
+    cache.lookup({0.3, 0.1, 0.05});
+    cache.lookup({0.3, 0.1, 0.05});
     session.stop();
     const obs::Trace t = session.collect();
     EXPECT_EQ(counterValue(t, "weyl_cache.miss"), 1u);

@@ -197,6 +197,22 @@ TEST(CanonicalizePoint, BoundaryFuzzRegression)
     }
 }
 
+TEST(ChamberDistance, IdentifiesTheXEqualsPiOver4FaceMirror)
+{
+    // (pi/4, y, z) and (pi/4, y, -z) are one class. A gate realized a
+    // rounding error below x = pi/4 canonicalizes with z < 0, which
+    // pointDistance reads as ~2z away; chamberDistance must not.
+    const double q = M_PI / 4.0;
+    const WeylPoint target{q, q - 2.5e-7, q - 1e-6};
+    const WeylPoint realized{q - 7e-8, q - 2.5e-7, -(q - 1e-6)};
+    EXPECT_GT(weyl::pointDistance(realized, target), 1.5);
+    EXPECT_NEAR(weyl::chamberDistance(realized, target), 7e-8, 1e-12);
+    // Away from the face the mirror is far, so nothing changes.
+    const WeylPoint a{0.5, 0.3, -0.1}, b{0.5, 0.3, 0.1};
+    EXPECT_DOUBLE_EQ(weyl::chamberDistance(a, b), 0.2);
+    EXPECT_EQ(weyl::chamberDistance(a, a), 0.0);
+}
+
 TEST(LocallyEquivalent, DetectsEquivalenceAndDifference)
 {
     linalg::Rng rng(29);
