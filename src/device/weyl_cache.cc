@@ -1,10 +1,9 @@
 #include "weyl_cache.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
-#include <new>
 #include <stdexcept>
 
 #include "obs/obs.hh"
@@ -52,42 +51,23 @@ drivesOf(ashn::SubScheme s)
     }
 }
 
-/**
- * Memory for @p n objects of T, zeroed or not. Unzeroed pages stay
- * unmapped until written, so only the index (zeroed: 0 marks an empty
- * slot) costs its full size up front; the entry arrays grow into
- * their pages as entries arrive.
- */
-template <typename T>
-T *
-allocate(std::size_t n, bool zero)
-{
-    void *p = zero ? std::calloc(n, sizeof(T)) : std::malloc(n * sizeof(T));
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return static_cast<T *>(p);
-}
-
 } // namespace
 
-WeylCache::WeylCache(double h, double r, std::size_t slots)
-    : h_(detail::normZero(h)), r_(detail::normZero(r)), slots_(slots)
+WeylCache::WeylCache(double h, double r)
+    : h_(detail::normZero(h)), r_(r)
 {
     // A NaN h or r would poison every synthesis this cache runs; fail
     // at construction instead of on the first lookup.
     if (!std::isfinite(h) || !std::isfinite(r))
         throw std::invalid_argument(
             "WeylCache: non-finite ZZ ratio or drive cutoff");
-    if (slots < 8 || !std::has_single_bit(slots))
-        throw std::invalid_argument(
-            "WeylCache: slot count must be a power of two >= 8");
 }
 
 std::uint32_t &
 WeylCache::probe(double x, double y, double z) const
 {
     // Load stays <= 7/8, so an empty slot always ends the probe.
-    const std::size_t mask = slots_ - 1;
+    constexpr std::size_t mask = kSlots - 1;
     for (std::size_t i = keyHash(x, y, z) & mask;; i = (i + 1) & mask) {
         std::uint32_t &slot = index_[i];
         if (slot == 0)
@@ -121,8 +101,8 @@ WeylCache::insert(std::uint32_t &slot, double x, double y, double z,
         throw std::logic_error(
             "WeylCache: sub-scheme set a drive the cache cannot store");
     std::uint32_t *s = &slot;
-    if (size_ == capacity()) {
-        std::memset(index_.get(), 0, slots_ * sizeof(std::uint32_t));
+    if (size_ == kCapacity) {
+        std::fill_n(index_.get(), kSlots, 0);
         size_ = 0;
         OBS_COUNT("weyl_cache.clears", 1);
         s = &probe(x, y, z);
@@ -175,9 +155,10 @@ WeylCache::lookup(const weyl::WeylPoint &p)
     ++misses_;
     OBS_COUNT("weyl_cache.miss", 1);
     if (!index_) {
-        index_.reset(allocate<std::uint32_t>(slots_, true));
-        entries_.reset(allocate<Stored>(capacity(), false));
-        schemes_.reset(allocate<std::uint8_t>(capacity(), false));
+        index_ = std::make_unique<std::uint32_t[]>(kSlots);
+        entries_ = std::make_unique_for_overwrite<Stored[]>(kCapacity);
+        schemes_ =
+            std::make_unique_for_overwrite<std::uint8_t[]>(kCapacity);
     }
     std::uint32_t &slot = probe(x, y, z);
     if (slot == 0)

@@ -10,29 +10,31 @@
  * each — the key (the three coordinates) and the solved parameters
  * (tau and the two drives the sub-scheme can set; the third is always
  * zero), with the sub-scheme in a parallel byte array — behind an
- * open-addressed (linear probing) index of 32-bit entry numbers. The
- * 4x4 pulse is not stored: lookup() rebuilds it with ashn::realize on
- * every call (deterministic, so bit-identical to the pulse built on the
- * miss). The arrays are allocated at the first insert; only the index
- * (256 KiB by default) is zeroed, the entry pages are touched as
- * entries arrive. The cache holds at most capacity() = 7/8 of its
- * index slots; an insert into a full cache clears it first, so memory
- * stays bounded in long-running processes.
- * The default 2^16 index slots hold 57,344 entries in 2.9 MiB.
+ * open-addressed (linear probing) index of kSlots 32-bit entry
+ * numbers. The 4x4 pulse is not stored: lookup() rebuilds it with
+ * ashn::realize on every call (deterministic, so bit-identical to the
+ * pulse built on the miss). The arrays are allocated at the first
+ * insert; only the index (256 KiB) is zeroed, the entry pages are
+ * touched as entries arrive. The cache holds at most kCapacity = 7/8
+ * of its index slots, 57,344 entries in 2.9 MiB; an insert into a full
+ * cache clears it first, so memory stays bounded in long-running
+ * processes. The entries are packed rather than one 64-byte struct
+ * holding all three drives: a full cache is then 0.9 MiB smaller,
+ * about a tenth of a synthesis-bound process's peak memory.
  *
  * Keys use the exact coordinate bits — only bit-identical chamber
  * points share an entry, so memoization never perturbs results. Two
- * guarded edge cases: -0.0 is normalized to +0.0 in the coordinates and
- * in h and r (equality would otherwise disagree with ==), and
- * non-finite values are rejected with std::invalid_argument (a NaN key
- * can never equal itself, so each lookup would insert a fresh entry).
+ * guarded edge cases: -0.0 is normalized to +0.0 in the coordinates
+ * (the bit-pattern hash would otherwise disagree with ==) and in h
+ * (which every result carries), and non-finite values are rejected
+ * with std::invalid_argument (a NaN key can never equal itself, so
+ * each lookup would insert a fresh entry).
  */
 
 #ifndef CRISC_DEVICE_WEYL_CACHE_HH
 #define CRISC_DEVICE_WEYL_CACHE_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -71,18 +73,17 @@ class WeylCache
         linalg::Matrix pulse;  ///< ashn::realize(params).
     };
 
-    /** Index slots by default: 57,344 entries. */
-    static constexpr std::size_t kDefaultSlots = std::size_t{1} << 16;
+    /** Index slots; the load stays <= 7/8. */
+    static constexpr std::size_t kSlots = std::size_t{1} << 16;
+    /** Entries the table holds before an insert clears it. */
+    static constexpr std::size_t kCapacity = kSlots / 8 * 7;
 
     /**
      * @param h ZZ coupling ratio every lookup synthesizes for.
      * @param r drive cutoff every lookup synthesizes for.
-     * @param slots index size, a power of two >= 8; holds 7/8 as many
-     *        entries.
-     * @throws std::invalid_argument if h or r is NaN or infinite, or
-     *         @p slots is not a power of two >= 8.
+     * @throws std::invalid_argument if h or r is NaN or infinite.
      */
-    WeylCache(double h, double r, std::size_t slots = kDefaultSlots);
+    WeylCache(double h, double r);
 
     /**
      * Returns the entry for chamber point @p p, synthesizing on miss.
@@ -90,11 +91,6 @@ class WeylCache
      *         infinite.
      */
     Entry lookup(const weyl::WeylPoint &p);
-
-    double h() const { return h_; }
-    double r() const { return r_; }
-    /** Entries the table holds before an insert clears it. */
-    std::size_t capacity() const { return slots_ / 8 * 7; }
 
     std::size_t size() const;
     std::size_t hits() const;
@@ -107,11 +103,6 @@ class WeylCache
         double tau, a, b; ///< the sub-scheme's two free drives.
     };
 
-    struct Free
-    {
-        void operator()(void *p) const { std::free(p); }
-    };
-
     /** The index slot holding (x, y, z), or the empty slot it would
      *  take; a slot holds 1 + the entry number, 0 when empty. */
     std::uint32_t &probe(double x, double y, double z) const;
@@ -120,11 +111,10 @@ class WeylCache
                 const ashn::GateParams &p);
 
     double h_, r_;
-    std::size_t slots_;
     mutable std::mutex mutex_;
-    std::unique_ptr<std::uint32_t[], Free> index_;
-    std::unique_ptr<Stored[], Free> entries_;
-    std::unique_ptr<std::uint8_t[], Free> schemes_;
+    std::unique_ptr<std::uint32_t[]> index_;
+    std::unique_ptr<Stored[]> entries_;
+    std::unique_ptr<std::uint8_t[]> schemes_;
     std::size_t size_ = 0;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;

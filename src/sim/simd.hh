@@ -51,12 +51,12 @@
  *                      The generic fallback below is correct everywhere
  *                      but only profitable with real mask support.
  *
- * AVX2/AVX-512 lane order note: the deinterleaving load permutes lanes
- * (unpacklo/unpackhi yield element order 0,2,1,3 per 256-bit vector,
- * and the analogous per-128-bit-lane interleave on 512-bit vectors),
+ * AVX2 lane order note: the deinterleaving load permutes lanes
+ * (unpacklo/unpackhi yield element order 0,2,1,3 per 256-bit vector),
  * which is harmless — all CVec operations are elementwise, every CVec
  * in flight uses the same permutation, and the store applies the exact
- * inverse.
+ * inverse. The AVX-512 load uses two-source permutes and keeps element
+ * order 0..7.
  */
 
 #ifndef CRISC_SIM_SIMD_HH
@@ -91,6 +91,12 @@
 namespace crisc {
 namespace sim {
 namespace simd {
+// Every stamp TU defines CVec and the ops below differently under the
+// same names. Internal linkage keeps them per TU: as inline functions
+// with external linkage they would be one weak symbol each, and the
+// linker would bind every backend's out-of-line calls (all of them in
+// an unoptimized build) to whichever TU's copy it kept.
+namespace {
 
 #if defined(CRISC_SIMD_STAMP_AVX2)
 
@@ -485,6 +491,7 @@ storesTail(double *re, double *im, CVec a, std::size_t count)
 
 #endif
 
+} // namespace
 } // namespace simd
 } // namespace sim
 } // namespace crisc

@@ -5,6 +5,8 @@
  * corners and their epsilon-perturbations — under every ZZ ratio of
  * kSweepZZRatios must synthesize without a throw, realize its class to
  * a chamber distance of 1e-5, and take the optimal time to 1e-7.
+ * Also fills a device::WeylCache to its full capacity, which takes
+ * tens of thousands of syntheses.
  */
 
 #include <cmath>
@@ -14,6 +16,7 @@
 
 #include "ashn/scheme.hh"
 #include "chamber_sweep.hh"
+#include "device/weyl_cache.hh"
 #include "weyl/optimal_time.hh"
 #include "weyl/weyl.hh"
 
@@ -51,5 +54,34 @@ TEST_P(ChamberSweep, EveryPointSynthesizesAtOptimalTime)
 
 INSTANTIATE_TEST_SUITE_P(ZZRatios, ChamberSweep,
                          ::testing::ValuesIn(testutil::kSweepZZRatios));
+
+TEST(WeylCache, ClearsWhenFullSoMemoryStaysBounded)
+{
+    // kCapacity distinct points fill the table; the next distinct point
+    // clears it first. Every lookup still counts as one hit or miss.
+    // The points (x, y, 0) with x > y take the closed-form ND scheme.
+    constexpr std::size_t kCapacity = device::WeylCache::kCapacity;
+    constexpr std::size_t side = 240;
+    static_assert(side * side > kCapacity);
+    const auto point = [](std::size_t i) {
+        return weyl::WeylPoint{0.4 + 0.35 * double(i / side) / side,
+                               0.3 * double(i % side) / side, 0.0};
+    };
+    device::WeylCache cache(0.0, 0.0);
+    for (std::size_t i = 0; i < kCapacity; ++i)
+        cache.lookup(point(i));
+    EXPECT_EQ(cache.size(), kCapacity);
+    EXPECT_EQ(cache.misses(), kCapacity);
+    cache.lookup(point(3));
+    EXPECT_EQ(cache.hits(), 1u);
+    cache.lookup(point(kCapacity));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), kCapacity + 1);
+    cache.lookup(point(kCapacity));
+    cache.lookup(point(3)); // cleared: synthesized again
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.misses(), kCapacity + 2);
+    EXPECT_EQ(cache.size(), 2u);
+}
 
 } // namespace
